@@ -1,15 +1,15 @@
-// SCALE: concurrent-connection scaling of the two server execution modes.
+// SCALE: concurrent-connection scaling of the production TCP server.
 // A non-blocking load generator (its own EventLoop shards, so 4k client
 // connections don't need 4k threads) drives closed-loop StateInquiry
-// round trips over C concurrent connections against a reactor server and
-// the thread-per-connection baseline, reporting ops/sec and p50/p99
-// latency per rung. This is the tentpole claim of the reactor rewrite:
-// throughput must hold as C grows past the point where a thread per
-// socket stops being a sane resource model.
+// round trips over C concurrent connections against TcpServer with its
+// default options — the configuration the daemon runs — and reports
+// ops/sec and p50/p99 latency per rung. The handler replies at once, so
+// this is a close-up of the server's framing, loop-to-pool handoff and
+// reply path, not of replica work. Gate: every rung completes without a
+// connection error.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -257,40 +257,12 @@ class LoadGen {
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
-/// A named server configuration under test.
-struct ModeConfig {
-  const char* name;
-  net::tcp::ServerOptions options;
-};
-
-/// The configurations every rung measures. The gated reactor config runs
-/// handlers inline on the loop shards — the right setting for this
-/// bench's CPU-only handler, and the configuration the scaling claim is
-/// about — on the portable epoll backend. reactor-uring prefers io_uring
-/// (falling back to epoll where the kernel lacks it); measured here it
-/// trades some peak throughput for a much flatter p99, worth a row of its
-/// own. reactor-pool shows what the default worker-pool hop costs; the
-/// thread-per-connection baseline is what the reactor replaced.
-const std::array<ModeConfig, 4> kModes{{
-    {"reactor",
-     {.mode = net::tcp::ServerOptions::Mode::kReactor,
-      .inline_handlers = true}},
-    {"reactor-uring",
-     {.mode = net::tcp::ServerOptions::Mode::kReactor,
-      .inline_handlers = true,
-      .backend = net::tcp::EventLoop::Backend::kIoUring}},
-    {"reactor-pool", {.mode = net::tcp::ServerOptions::Mode::kReactor}},
-    {"thread-per-conn",
-     {.mode = net::tcp::ServerOptions::Mode::kThreadPerConnection}},
-}};
-
-/// One rung: start a server in `mode`, drive `clients` connections for the
+/// One rung: start a server, drive `clients` connections for the
 /// configured interval, return the aggregated summary.
-Result<Summary> run_rung(const ModeConfig& mode, std::size_t clients,
-                         std::chrono::milliseconds warmup,
+Result<Summary> run_rung(std::size_t clients, std::chrono::milliseconds warmup,
                          std::chrono::milliseconds duration) {
   InquiryHandler handler;
-  auto server = net::tcp::TcpServer::start(0, &handler, mode.options);
+  auto server = net::tcp::TcpServer::start(0, &handler);
   if (!server.is_ok()) return server.status();
 
   // Two generator shards: enough to keep the loopback busy without the
@@ -337,33 +309,29 @@ int main(int argc, char** argv) {
     ladder = {static_cast<std::size_t>(only)};
   }
 
-  TextTable table({"clients", "mode", "ops/sec", "p50 (us)", "p99 (us)",
-                   "ops", "errors"});
+  TextTable table(
+      {"clients", "ops/sec", "p50 (us)", "p99 (us)", "ops", "errors"});
   table.set_title(
       "SCALE: closed-loop StateInquiry round trips at C concurrent "
-      "connections — reactor shards vs a thread per socket");
+      "connections against the production server");
 
   struct Row {
     std::size_t clients;
-    const char* mode;
     Summary summary;
   };
   std::vector<Row> rows;
   for (const std::size_t clients : ladder) {
-    for (const ModeConfig& mode : kModes) {
-      auto summary = run_rung(mode, clients, warmup, duration);
-      if (!summary.is_ok()) {
-        std::cerr << "rung " << clients << "/" << mode.name
-                  << " failed: " << summary.status().to_string() << '\n';
-        return 1;
-      }
-      rows.push_back(Row{clients, mode.name, summary.value()});
-      const Summary& s = summary.value();
-      table.add_row({std::to_string(clients), mode.name,
-                     TextTable::fmt(s.ops_per_sec, 0),
-                     TextTable::fmt(s.p50_us, 0), TextTable::fmt(s.p99_us, 0),
-                     std::to_string(s.ops), std::to_string(s.errors)});
+    auto summary = run_rung(clients, warmup, duration);
+    if (!summary.is_ok()) {
+      std::cerr << "rung " << clients
+                << " failed: " << summary.status().to_string() << '\n';
+      return 1;
     }
+    rows.push_back(Row{clients, summary.value()});
+    const Summary& s = summary.value();
+    table.add_row({std::to_string(clients), TextTable::fmt(s.ops_per_sec, 0),
+                   TextTable::fmt(s.p50_us, 0), TextTable::fmt(s.p99_us, 0),
+                   std::to_string(s.ops), std::to_string(s.errors)});
   }
 
   if (const std::string path = flags.get_string("json"); !path.empty()) {
@@ -376,8 +344,7 @@ int main(int argc, char** argv) {
         << duration.count() << ",\n  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
-      out << "    {\"clients\": " << row.clients << ", \"mode\": \""
-          << row.mode << "\", \"ops_per_sec\": "
+      out << "    {\"clients\": " << row.clients << ", \"ops_per_sec\": "
           << row.summary.ops_per_sec << ", \"p50_us\": " << row.summary.p50_us
           << ", \"p99_us\": " << row.summary.p99_us
           << ", \"ops\": " << row.summary.ops
@@ -393,40 +360,14 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
 
-  // Acceptance gates. The 16-client rung tolerates scheduler noise (single
-  // shared box). The scaling gate runs at the top rung measured: where the
-  // thread-per-connection collapse lands depends on cores — on a 1-core
-  // host the crossover sits between 1k and 4k clients (at 1k the kernel
-  // still schedules a thousand mostly-blocked threads respectably; at 4k
-  // it no longer does), so intermediate rungs are reported, not gated.
-  const auto find = [&](std::size_t clients,
-                        const char* mode) -> const Summary* {
-    for (const Row& row : rows) {
-      if (row.clients == clients && std::strcmp(row.mode, mode) == 0) {
-        return &row.summary;
-      }
-    }
-    return nullptr;
-  };
+  // Gate: every rung completes without a connection error. Throughput is
+  // reported, not gated — an absolute bar would depend on the machine.
   bool ok = true;
-  if (const Summary* reactor = find(16, "reactor")) {
-    const Summary* baseline = find(16, "thread-per-conn");
-    const bool pass =
-        baseline != nullptr &&
-        reactor->ops_per_sec >= 0.75 * baseline->ops_per_sec;
+  for (const Row& row : rows) {
+    const bool pass = row.summary.errors == 0;
     ok = ok && pass;
-    std::cout << (pass ? "PASS" : "FAIL")
-              << ": reactor holds the 16-client baseline (>= 0.75x)\n";
-  }
-  const std::size_t top = ladder.back();
-  if (top >= 1000) {
-    const Summary* reactor = find(top, "reactor");
-    const Summary* baseline = find(top, "thread-per-conn");
-    const bool pass = reactor != nullptr && baseline != nullptr &&
-                      reactor->ops_per_sec >= 2.0 * baseline->ops_per_sec;
-    ok = ok && pass;
-    std::cout << (pass ? "PASS" : "FAIL") << ": reactor >= 2x "
-              << "thread-per-connection at " << top << " clients\n";
+    std::cout << (pass ? "PASS" : "FAIL") << ": " << row.clients
+              << " clients, " << row.summary.errors << " errors\n";
   }
   return ok ? 0 : 1;
 }

@@ -21,7 +21,6 @@
 #include "reldev/core/naive_replica.hpp"
 #include "reldev/core/scrub_daemon.hpp"
 #include "reldev/core/voting_replica.hpp"
-#include "reldev/net/fanout.hpp"
 #include "reldev/net/tcp/tcp_client.hpp"
 #include "reldev/net/tcp/tcp_server.hpp"
 #include "reldev/storage/file_block_store.hpp"
@@ -82,17 +81,6 @@ int main(int argc, char** argv) {
                                 "(empty = fresh in this run's tmp)");
   flags.add_int("call-timeout-ms", 5000,
                 "per-peer RPC deadline: a dead peer costs at most this long");
-  flags.add_string("server-mode", "reactor",
-                   "server execution model: reactor | thread-per-conn");
-  flags.add_int("loop-shards", 0,
-                "reactor event-loop shards (0 = hardware concurrency)");
-  flags.add_int("handler-threads", 0,
-                "reactor handler worker threads (0 = auto)");
-  flags.add_string("io-backend", "epoll",
-                   "reactor loop backend: epoll | io_uring "
-                   "(io_uring falls back to epoll when unavailable)");
-  flags.add_int("fanout-threads", 0,
-                "shared fan-out pool size (0 = max(8, hardware threads))");
   flags.add_int("scrub-interval", 0,
                 "anti-entropy scrub cycle interval in ms (0 = scrubbing off)");
   flags.add_int("scrub-throttle", 0,
@@ -149,10 +137,6 @@ int main(int argc, char** argv) {
     fresh = true;
   }
 
-  if (const auto threads = flags.get_int("fanout-threads"); threads > 0) {
-    net::FanOut::set_shared_thread_count(static_cast<std::size_t>(threads));
-  }
-
   // Wire up the peer transport.
   net::tcp::TcpPeerTransport transport;
   transport.set_call_timeout(
@@ -180,47 +164,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  net::tcp::ServerOptions server_options;
-  const std::string server_mode = flags.get_string("server-mode");
-  if (server_mode == "reactor") {
-    server_options.mode = net::tcp::ServerOptions::Mode::kReactor;
-  } else if (server_mode == "thread-per-conn") {
-    server_options.mode = net::tcp::ServerOptions::Mode::kThreadPerConnection;
-  } else {
-    std::cerr << "unknown server mode '" << server_mode << "'\n";
-    return 1;
-  }
-  server_options.loop_shards =
-      static_cast<std::size_t>(flags.get_int("loop-shards"));
-  server_options.handler_threads =
-      static_cast<std::size_t>(flags.get_int("handler-threads"));
-  const std::string io_backend = flags.get_string("io-backend");
-  if (io_backend == "io_uring") {
-    server_options.backend = net::tcp::EventLoop::Backend::kIoUring;
-  } else if (io_backend != "epoll") {
-    std::cerr << "unknown io backend '" << io_backend << "'\n";
-    return 1;
-  }
-  // Replica handlers block (storage I/O, peer fan-out), so handlers stay
-  // on the worker pool; inline_handlers is for CPU-only handlers.
-
   auto server = net::tcp::TcpServer::start(
-      static_cast<std::uint16_t>(flags.get_int("port")), replica.get(),
-      server_options);
+      static_cast<std::uint16_t>(flags.get_int("port")), replica.get());
   if (!server) {
     std::cerr << server.status().to_string() << '\n';
     return 1;
   }
   std::cout << "site " << site << " (" << replica->scheme_name()
-            << ") serving on port " << server.value()->port() << " ["
-            << server_mode
-            << (server_options.mode == net::tcp::ServerOptions::Mode::kReactor
-                    ? (server.value()->backend() ==
-                               net::tcp::EventLoop::Backend::kIoUring
-                           ? ", io_uring"
-                           : ", epoll")
-                    : "")
-            << "], store " << store_path
+            << ") serving on port " << server.value()->port() << ", store "
+            << store_path
             << (fresh ? " (fresh)" : " (reopened)") << '\n';
 
   // A restarted site must not serve stale data: run recovery until it

@@ -43,14 +43,6 @@ FanOut& FanOut::shared() {
   return *g_shared_pool;
 }
 
-void FanOut::set_shared_thread_count(std::size_t threads) {
-  const MutexLock lock(g_shared_pool_mutex);
-  // Destroying the old pool drains its queue and joins its workers, so
-  // every already-submitted task completes before the resize.
-  g_shared_pool.reset();
-  g_shared_pool = std::make_unique<FanOut>(threads);
-}
-
 void FanOut::submit(std::function<void()> task) {
   {
     const MutexLock lock(mutex_);

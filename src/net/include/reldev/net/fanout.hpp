@@ -5,6 +5,9 @@
 // past an early-stop quorum keep running so their replies can still be
 // metered); anything a task touches must therefore be owned by the task
 // itself or by a shared_ptr it captures.
+//
+// TcpServer owns a separate instance as its handler pool. It must never
+// use shared(): a handler blocks on the fan-out tasks it queued there.
 #pragma once
 
 #include <cstddef>
@@ -38,12 +41,6 @@ class FanOut {
   /// Process-wide pool shared by every transport. Constructed on first use;
   /// lives until process exit.
   static FanOut& shared();
-
-  /// Resize the shared pool (daemon --fanout-threads, tests). The previous
-  /// pool is drained and joined before the replacement is built, so no
-  /// in-flight task is lost. Must not be called from a task running on the
-  /// shared pool itself.
-  static void set_shared_thread_count(std::size_t threads);
 
   /// Enqueue a task. Never blocks; tasks run in submission order as workers
   /// free up.

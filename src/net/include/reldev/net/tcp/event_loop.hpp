@@ -1,8 +1,7 @@
-// EventLoop: the non-blocking I/O core under the reactor server. One loop
-// owns one OS readiness/completion facility (an epoll instance, or an
-// io_uring when built and supported) and runs on exactly one thread; the
-// server shards connections across N loops so the hot path scales with
-// cores instead of with connection count.
+// EventLoop: the non-blocking I/O core under the TCP server. One loop owns
+// one epoll instance and runs on exactly one thread; the server shards
+// connections across N loops so the hot path scales with cores instead of
+// with connection count.
 //
 // Threading contract:
 //   * run() is called once, on the thread that will own the loop;
@@ -21,9 +20,9 @@
 // drops pending operations WITHOUT invoking their handlers; the caller
 // closes the fd itself afterwards. Every fd that ever had an operation
 // armed MUST be cancel()ed (on the loop thread) before it is closed, even
-// when no operation is pending: backends keep per-fd readiness state —
-// epoll a persistent edge-triggered registration — that only cancel()
-// releases, and a closed-then-reused fd number would inherit it.
+// when no operation is pending: the loop keeps a persistent edge-triggered
+// epoll registration per fd that only cancel() releases, and a
+// closed-then-reused fd number would inherit it.
 #pragma once
 
 #include <sys/uio.h>
@@ -40,8 +39,6 @@ namespace reldev::net::tcp {
 
 class EventLoop {
  public:
-  enum class Backend : std::uint8_t { kEpoll = 0, kIoUring = 1 };
-
   /// Completion of a read/write: bytes transferred (0 = EOF on reads) or
   /// the errno-derived Status. Handlers run on the loop thread.
   using IoHandler = std::function<void(Result<std::size_t>)>;
@@ -51,65 +48,55 @@ class EventLoop {
   using Task = std::function<void()>;
   using TimerId = std::uint64_t;
 
-  /// Builds a loop on `preferred`. kIoUring falls back to epoll — with a
-  /// warning, never an error — when the backend was compiled out
-  /// (RELDEV_IO_URING=OFF) or the running kernel lacks the features we
-  /// need; epoll is the portable default. Check backend() for the result.
-  [[nodiscard]] static Result<std::unique_ptr<EventLoop>> create(
-      Backend preferred = Backend::kEpoll);
+  /// Builds a loop: an epoll instance plus the eventfd post() wakes it by.
+  [[nodiscard]] static Result<std::unique_ptr<EventLoop>> create();
 
-  /// True when the io_uring backend is compiled in AND the running kernel
-  /// accepts io_uring_setup with the features we rely on (FAST_POLL,
-  /// EXT_ARG). Probed once per process.
-  [[nodiscard]] static bool io_uring_available();
-
-  virtual ~EventLoop() = default;
+  ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  [[nodiscard]] virtual Backend backend() const noexcept = 0;
-
   /// Process events until stop(). Call once, on the owning thread.
-  virtual void run() = 0;
+  void run();
 
   /// Make run() return soon. Safe from any thread, and idempotent. Pending
   /// operations and posted tasks are dropped (their handlers never fire);
   /// the server cancels I/O explicitly before stopping its loops.
-  virtual void stop() = 0;
+  void stop();
 
   /// Run `task` on the loop thread, soon. Safe from any thread. Tasks
   /// posted after stop() are silently dropped.
-  virtual void post(Task task) = 0;
+  void post(Task task);
 
   // --- loop-thread-only from here on ---------------------------------------
 
   /// Arm a one-shot accept on a non-blocking listening fd.
-  virtual void async_accept(int listen_fd, AcceptHandler on_accept) = 0;
+  void async_accept(int listen_fd, AcceptHandler on_accept);
 
   /// Arm a one-shot scatter read / gather write. At most 4 iovecs; the
   /// buffers must stay alive until the handler fires (the iovec array
   /// itself is copied). A handler may re-arm from within its own callback.
-  virtual void async_readv(int fd, std::span<const iovec> iov,
-                           IoHandler on_done) = 0;
-  virtual void async_writev(int fd, std::span<const iovec> iov,
-                            IoHandler on_done) = 0;
+  void async_readv(int fd, std::span<const iovec> iov, IoHandler on_done);
+  void async_writev(int fd, std::span<const iovec> iov, IoHandler on_done);
 
   /// Drop any pending operations on `fd` — their handlers never fire —
   /// and release the loop's per-fd readiness state. The fd itself is
   /// untouched (close it after cancelling). Required before closing any
   /// fd this loop has ever armed an operation on, pending or not.
-  virtual void cancel(int fd) = 0;
+  void cancel(int fd);
 
   /// One-shot timer on the loop thread. Cancelling an already-fired id is
   /// a harmless no-op.
-  virtual TimerId add_timer(std::chrono::milliseconds delay, Task task) = 0;
-  virtual void cancel_timer(TimerId id) = 0;
+  TimerId add_timer(std::chrono::milliseconds delay, Task task);
+  void cancel_timer(TimerId id);
 
   /// Largest iovec count an async_readv/async_writev accepts.
   static constexpr std::size_t kMaxIov = 4;
 
- protected:
-  EventLoop() = default;
+ private:
+  class Impl;
+  explicit EventLoop(std::unique_ptr<Impl> impl);
+
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace reldev::net::tcp

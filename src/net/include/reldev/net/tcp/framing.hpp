@@ -5,8 +5,8 @@
 // decoded into garbage.
 //
 // Two consumption styles share the same layout helpers: the blocking
-// read_frame/write_frame pair (client side, thread-per-connection servers)
-// and the incremental prefix/payload helpers the event-loop reactor drives
+// read_frame/write_frame pair (client side) and the incremental
+// prefix/payload helpers the event-loop server drives
 // from readiness callbacks (prefix parsed as soon as its 8 bytes are in,
 // CRC verified in place on the arena buffer the payload landed in).
 #pragma once

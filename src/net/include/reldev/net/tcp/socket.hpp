@@ -55,11 +55,6 @@ class Socket {
   /// treat orderly peer shutdown distinctly).
   [[nodiscard]] Status read_exact(std::span<std::byte> data);
 
-  /// Shut down both directions without closing the descriptor: wakes any
-  /// thread blocked in read on this socket. Safe to call concurrently with
-  /// reads from another thread.
-  void shutdown() noexcept;
-
   /// Shut down both directions (wakes a peer blocked in read) and close.
   void close();
 
@@ -81,22 +76,13 @@ class Acceptor {
   /// via port() afterwards.
   static Result<Acceptor> listen(std::uint16_t port);
 
-  /// Block until a connection arrives. Fails with kUnavailable after
-  /// shutdown() is called from another thread.
-  [[nodiscard]] Result<Socket> accept();
-
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
   [[nodiscard]] int fd() const noexcept { return fd_; }
 
-  /// Switch O_NONBLOCK on the listening descriptor (reactor accept path:
-  /// the loop accepts on readiness instead of blocking in accept()).
+  /// Switch O_NONBLOCK on the listening descriptor (the server's event
+  /// loop accepts on readiness instead of blocking in accept()).
   [[nodiscard]] Status set_nonblocking(bool enabled);
-
-  /// Wake a thread blocked in accept() without invalidating the
-  /// descriptor. Safe to call concurrently with accept(); close() is not —
-  /// it must wait until the accepting thread has been joined.
-  void shutdown() noexcept;
 
   void close();
 

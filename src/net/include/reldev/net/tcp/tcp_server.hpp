@@ -2,15 +2,13 @@
 // them to a MessageHandler, writes the framed reply. This is the process
 // boundary of the paper's Figure 1/2 — the "user-state server".
 //
-// Two execution modes share one interface:
-//   * kReactor (default): N event-loop shards (epoll, or io_uring where
-//     available) drive non-blocking frame state machines; connections are
-//     assigned to shards round-robin and handlers run on a small worker
-//     pool. Connection count no longer implies thread count.
-//   * kThreadPerConnection: the original blocking design, one thread per
-//     accepted socket. Kept as the comparison baseline for
-//     bench/server_scale and for debugging (a stuck handler is trivially
-//     visible in a thread dump).
+// One execution model: hardware_concurrency epoll event-loop shards drive
+// non-blocking frame state machines, connections are assigned to shards
+// round-robin, and handlers run on the server's own pool of
+// max(8, hardware_concurrency) threads — handlers block (storage I/O,
+// fan-out to peers), so a slow request stalls one pool thread, never a
+// loop shard and the connections on it. Connection count does not imply
+// thread count.
 #pragma once
 
 #include <atomic>
@@ -18,39 +16,18 @@
 #include <cstdint>
 #include <memory>
 
-#include "reldev/net/tcp/event_loop.hpp"
 #include "reldev/net/tcp/framing.hpp"
 #include "reldev/net/transport.hpp"
 
 namespace reldev::net::tcp {
 
 struct ServerOptions {
-  enum class Mode : std::uint8_t { kReactor = 0, kThreadPerConnection = 1 };
-
-  Mode mode = Mode::kReactor;
-  /// Event-loop shards (reactor mode). 0 = hardware_concurrency.
-  std::size_t loop_shards = 0;
-  /// Handler worker threads (reactor mode). 0 = max(8, hardware_concurrency):
-  /// handlers may block (storage I/O, fan-out to peers), so the floor is
-  /// set by acceptable blocking-handler concurrency, not by core count.
-  std::size_t handler_threads = 0;
-  /// Run handlers directly on the owning loop shard instead of the worker
-  /// pool (reactor mode). Only for handlers that never block — a blocking
-  /// handler stalls every connection on its shard. Skips two cross-thread
-  /// hops per request, which is the right trade for cheap CPU-only
-  /// handlers; the default pool is the right one for handlers that do
-  /// storage I/O or fan out to peers.
-  bool inline_handlers = false;
-  /// Preferred loop backend; kIoUring silently falls back to epoll when the
-  /// kernel or build lacks it.
-  EventLoop::Backend backend = EventLoop::Backend::kEpoll;
-  /// Close connections idle at a frame boundary for this long (reactor
-  /// mode). Zero disables the idle reaper.
+  /// Close connections idle at a frame boundary for this long. Zero
+  /// disables the idle reaper.
   std::chrono::milliseconds idle_timeout{0};
 };
 
-/// Frame counters shared by both server modes. All monotonic except
-/// active_connections.
+/// Frame counters. All monotonic except active_connections.
 struct ServerCounters {
   /// Frames whose CRC trailer (or magic) failed verification: the request
   /// was rejected before decoding and the connection torn down.
@@ -82,10 +59,6 @@ class TcpServer {
   TcpServer& operator=(const TcpServer&) = delete;
 
   [[nodiscard]] std::uint16_t port() const noexcept;
-  [[nodiscard]] ServerOptions::Mode mode() const noexcept;
-  /// The loop backend actually in use (reactor mode; kEpoll in
-  /// thread-per-connection mode).
-  [[nodiscard]] EventLoop::Backend backend() const noexcept;
 
   [[nodiscard]] std::uint64_t corrupted_frames() const noexcept {
     return counters_.corrupted_frames.load();
@@ -104,10 +77,9 @@ class TcpServer {
   /// and join all threads. Prompt: does not wait for idle peers to go away.
   void stop();
 
-  /// Both server modes, for tests parameterized over execution model.
+ private:
   class Impl;
 
- private:
   TcpServer() = default;
 
   ServerCounters counters_;

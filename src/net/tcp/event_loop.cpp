@@ -1,7 +1,6 @@
-// The portable epoll backend, and the EventLoop factory. Edge-triggered
-// epoll with persistent registration: an fd is registered for
-// EPOLLIN|EPOLLOUT|EPOLLET once, the first time an op has to park, and
-// stays registered until cancel(fd). Readiness is tracked in userspace
+// EventLoop over edge-triggered epoll with persistent registration: an fd
+// is registered for EPOLLIN|EPOLLOUT|EPOLLET once, the first time an op has
+// to park, and stays registered until cancel(fd). Readiness is tracked in userspace
 // flags that a returned EAGAIN clears and an epoll edge sets, so the
 // steady-state request cycle costs zero epoll_ctl calls — arming attempts
 // the syscall immediately (sockets are usually writable, and a pipelined
@@ -20,10 +19,13 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
-#include "event_loop_internal.hpp"
+#include "reldev/net/tcp/event_loop.hpp"
 #include "reldev/util/logging.hpp"
 #include "reldev/util/thread_annotations.hpp"
 
@@ -31,7 +33,84 @@ namespace reldev::net::tcp {
 
 namespace {
 
-using detail::PendingOp;
+/// One armed I/O operation. Owned by the loop until its completion handler
+/// has been invoked (or the op was cancelled).
+struct PendingOp {
+  enum class Kind : std::uint8_t { kAccept, kRead, kWrite };
+
+  Kind kind = Kind::kRead;
+  int fd = -1;
+  // The iovec array is copied at arm time (the caller's span may die), but
+  // the buffers it points into must outlive the operation.
+  std::array<iovec, EventLoop::kMaxIov> iov{};
+  unsigned iov_count = 0;
+  EventLoop::IoHandler io_handler;
+  EventLoop::AcceptHandler accept_handler;
+};
+
+/// Min-heap of one-shot timers with lazy cancellation (cancelled ids stay
+/// in the heap and are skipped when they surface). Loop-thread-only.
+class TimerHeap {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  EventLoop::TimerId add(std::chrono::milliseconds delay,
+                         EventLoop::Task task) {
+    const EventLoop::TimerId id = next_id_++;
+    heap_.push_back(Entry{Clock::now() + delay, id, std::move(task)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    return id;
+  }
+
+  void cancel(EventLoop::TimerId id) { cancelled_.insert(id); }
+
+  /// Milliseconds until the nearest live timer (>= 0), or nullopt when no
+  /// timers are armed.
+  [[nodiscard]] std::optional<int> next_timeout_ms() {
+    drop_cancelled_top();
+    if (heap_.empty()) return std::nullopt;
+    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
+        heap_.front().deadline - Clock::now());
+    return static_cast<int>(std::max<std::int64_t>(remaining.count(), 0));
+  }
+
+  /// Pop every timer due now, in deadline order.
+  [[nodiscard]] std::vector<EventLoop::Task> take_due() {
+    std::vector<EventLoop::Task> due;
+    const auto now = Clock::now();
+    for (;;) {
+      drop_cancelled_top();
+      if (heap_.empty() || heap_.front().deadline > now) break;
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      due.push_back(std::move(heap_.back().task));
+      heap_.pop_back();
+    }
+    return due;
+  }
+
+ private:
+  struct Entry {
+    Clock::time_point deadline;
+    EventLoop::TimerId id;
+    EventLoop::Task task;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
+      return a.deadline > b.deadline;
+    }
+  };
+
+  void drop_cancelled_top() {
+    while (!heap_.empty() && cancelled_.erase(heap_.front().id) > 0) {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      heap_.pop_back();
+    }
+  }
+
+  std::vector<Entry> heap_;
+  std::unordered_set<EventLoop::TimerId> cancelled_;
+  EventLoop::TimerId next_id_ = 1;
+};
 
 Status errno_status(const char* what) {
   return errors::io_error(std::string(what) + ": " + std::strerror(errno));
@@ -70,9 +149,11 @@ bool perform(PendingOp& op, Result<std::size_t>& io_result,
   }
 }
 
-class EpollLoop final : public EventLoop {
+}  // namespace
+
+class EventLoop::Impl {
  public:
-  static Result<std::unique_ptr<EventLoop>> make() {
+  static Result<std::unique_ptr<Impl>> make() {
     const int epoll_fd = ::epoll_create1(0);
     if (epoll_fd < 0) return errno_status("epoll_create1");
     const int event_fd = ::eventfd(0, EFD_NONBLOCK);
@@ -81,7 +162,7 @@ class EpollLoop final : public EventLoop {
       ::close(epoll_fd);
       return status;
     }
-    auto loop = std::unique_ptr<EpollLoop>(new EpollLoop(epoll_fd, event_fd));
+    auto loop = std::unique_ptr<Impl>(new Impl(epoll_fd, event_fd));
     epoll_event ev{};
     ev.events = EPOLLIN;  // level-triggered: wake-ups must never be missed
     ev.data.fd = event_fd;
@@ -91,16 +172,12 @@ class EpollLoop final : public EventLoop {
     return {std::move(loop)};
   }
 
-  ~EpollLoop() override {
+  ~Impl() {
     ::close(event_fd_);
     ::close(epoll_fd_);
   }
 
-  [[nodiscard]] Backend backend() const noexcept override {
-    return Backend::kEpoll;
-  }
-
-  void run() override {
+  void run() {
     while (!stopping_.load(std::memory_order_acquire)) {
       drain_posted();
       for (auto& task : timers_.take_due()) task();
@@ -130,12 +207,12 @@ class EpollLoop final : public EventLoop {
     }
   }
 
-  void stop() override {
+  void stop() {
     stopping_.store(true, std::memory_order_release);
     wake();
   }
 
-  void post(Task task) override {
+  void post(Task task) {
     {
       const MutexLock lock(mutex_);
       if (stopping_.load(std::memory_order_acquire)) return;  // dropped
@@ -144,7 +221,7 @@ class EpollLoop final : public EventLoop {
     wake();
   }
 
-  void async_accept(int listen_fd, AcceptHandler on_accept) override {
+  void async_accept(int listen_fd, AcceptHandler on_accept) {
     auto op = alloc_op();
     op->kind = PendingOp::Kind::kAccept;
     op->fd = listen_fd;
@@ -153,16 +230,16 @@ class EpollLoop final : public EventLoop {
   }
 
   void async_readv(int fd, std::span<const iovec> iov,
-                   IoHandler on_done) override {
+                   IoHandler on_done) {
     arm(make_io_op(PendingOp::Kind::kRead, fd, iov, std::move(on_done)));
   }
 
   void async_writev(int fd, std::span<const iovec> iov,
-                    IoHandler on_done) override {
+                    IoHandler on_done) {
     arm(make_io_op(PendingOp::Kind::kWrite, fd, iov, std::move(on_done)));
   }
 
-  void cancel(int fd) override {
+  void cancel(int fd) {
     auto it = fds_.find(fd);
     if (it != fds_.end()) {
       if (it->second.registered) {
@@ -177,11 +254,11 @@ class EpollLoop final : public EventLoop {
     }
   }
 
-  TimerId add_timer(std::chrono::milliseconds delay, Task task) override {
+  TimerId add_timer(std::chrono::milliseconds delay, Task task) {
     return timers_.add(delay, std::move(task));
   }
 
-  void cancel_timer(TimerId id) override { timers_.cancel(id); }
+  void cancel_timer(TimerId id) { timers_.cancel(id); }
 
  private:
   /// Per-fd reactor state. `read_ready`/`write_ready` are the userspace
@@ -203,7 +280,7 @@ class EpollLoop final : public EventLoop {
   };
   using FdMap = std::unordered_map<int, FdState>;
 
-  EpollLoop(int epoll_fd, int event_fd)
+  Impl(int epoll_fd, int event_fd)
       : epoll_fd_(epoll_fd), event_fd_(event_fd) {}
 
   std::unique_ptr<PendingOp> alloc_op() {
@@ -365,23 +442,37 @@ class EpollLoop final : public EventLoop {
   FdMap fds_;
   std::deque<ReadyCompletion> ready_;
   std::vector<std::unique_ptr<PendingOp>> op_pool_;
-  detail::TimerHeap timers_;
+  TimerHeap timers_;
 };
 
-}  // namespace
-
-bool EventLoop::io_uring_available() { return detail::probe_io_uring(); }
-
-Result<std::unique_ptr<EventLoop>> EventLoop::create(Backend preferred) {
-  if (preferred == Backend::kIoUring) {
-    if (auto loop = detail::make_io_uring_loop(); loop != nullptr) {
-      return {std::move(loop)};
-    }
-    RELDEV_WARN("event-loop")
-        << "io_uring backend unavailable (compiled out or kernel lacks "
-           "required features); falling back to epoll";
-  }
-  return EpollLoop::make();
+Result<std::unique_ptr<EventLoop>> EventLoop::create() {
+  auto impl = Impl::make();
+  if (!impl) return impl.status();
+  return std::unique_ptr<EventLoop>(new EventLoop(std::move(impl).value()));
 }
+
+EventLoop::EventLoop(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
+EventLoop::~EventLoop() = default;
+
+void EventLoop::run() { impl_->run(); }
+void EventLoop::stop() { impl_->stop(); }
+void EventLoop::post(Task task) { impl_->post(std::move(task)); }
+void EventLoop::async_accept(int listen_fd, AcceptHandler on_accept) {
+  impl_->async_accept(listen_fd, std::move(on_accept));
+}
+void EventLoop::async_readv(int fd, std::span<const iovec> iov,
+                            IoHandler on_done) {
+  impl_->async_readv(fd, iov, std::move(on_done));
+}
+void EventLoop::async_writev(int fd, std::span<const iovec> iov,
+                             IoHandler on_done) {
+  impl_->async_writev(fd, iov, std::move(on_done));
+}
+void EventLoop::cancel(int fd) { impl_->cancel(fd); }
+EventLoop::TimerId EventLoop::add_timer(std::chrono::milliseconds delay,
+                                        Task task) {
+  return impl_->add_timer(delay, std::move(task));
+}
+void EventLoop::cancel_timer(TimerId id) { impl_->cancel_timer(id); }
 
 }  // namespace reldev::net::tcp

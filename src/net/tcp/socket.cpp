@@ -193,10 +193,6 @@ Status Socket::read_exact(std::span<std::byte> data) {
   return Status::ok();
 }
 
-void Socket::shutdown() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 void Socket::close() {
   if (fd_ >= 0) {
     ::shutdown(fd_, SHUT_RDWR);
@@ -243,25 +239,6 @@ Result<Acceptor> Acceptor::listen(std::uint16_t port) {
   }
   acceptor.port_ = ntohs(addr.sin_port);
   return acceptor;
-}
-
-Result<Socket> Acceptor::accept() {
-  RELDEV_EXPECTS(valid());
-  lockdep::check_blocking("accept");
-  int client;
-  do {
-    client = ::accept(fd_, nullptr, nullptr);
-  } while (client < 0 && errno == EINTR);
-  if (client < 0) {
-    return errors::unavailable(std::string("accept: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return Socket(client);
-}
-
-void Acceptor::shutdown() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 void Acceptor::close() {

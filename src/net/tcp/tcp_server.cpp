@@ -5,258 +5,49 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <deque>
+#include <algorithm>
 #include <future>
-#include <map>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "reldev/net/fanout.hpp"
+#include "reldev/net/tcp/event_loop.hpp"
 #include "reldev/util/buffer_arena.hpp"
 #include "reldev/util/logging.hpp"
-#include "reldev/util/thread_annotations.hpp"
 
 namespace reldev::net::tcp {
 
-class TcpServer::Impl {
- public:
-  virtual ~Impl() = default;
-  [[nodiscard]] virtual std::uint16_t port() const noexcept = 0;
-  [[nodiscard]] virtual ServerOptions::Mode mode() const noexcept = 0;
-  [[nodiscard]] virtual EventLoop::Backend backend() const noexcept = 0;
-  virtual void stop() = 0;
-};
-
 namespace {
 
-/// Classify a failed read_frame / frame validation into the server's
-/// counters. Returns true when the failure deserves a warning (corruption
-/// or protocol violation) rather than being normal connection churn.
-bool count_bad_frame(const Status& status, ServerCounters& counters) {
+/// Count a rejected frame in the server's counters: corruption (bad magic
+/// or CRC) or a protocol violation (oversized declared length).
+void count_bad_frame(const Status& status, ServerCounters& counters) {
   if (status.code() == ErrorCode::kCorruption) {
     counters.corrupted_frames.fetch_add(1);
     RELDEV_WARN("tcp-server") << "corrupt frame rejected: "
                               << status.to_string();
-    return true;
+    return;
   }
   if (status.code() == ErrorCode::kProtocol) {
     counters.rejected_frames.fetch_add(1);
     RELDEV_WARN("tcp-server") << "frame rejected: " << status.to_string();
-    return true;
+    return;
   }
-  if (status.code() != ErrorCode::kUnavailable) {
-    RELDEV_DEBUG("tcp-server") << "connection error: " << status.to_string();
-  }
-  return false;
+  RELDEV_DEBUG("tcp-server") << "connection error: " << status.to_string();
 }
 
-// --------------------------------------------------------------------------
-// Thread-per-connection baseline (the original server).
-// --------------------------------------------------------------------------
+}  // namespace
 
-class ThreadedImpl final : public TcpServer::Impl {
+/// The server proper: event-loop shards plus the handler pool.
+class TcpServer::Impl {
  public:
-  ThreadedImpl(Acceptor acceptor, MessageHandler* handler,
-               ServerCounters* counters)
+  Impl(Acceptor acceptor, MessageHandler* handler, ServerCounters* counters,
+       const ServerOptions& options,
+       std::vector<std::unique_ptr<EventLoop>> loops)
       : acceptor_(std::move(acceptor)), handler_(handler),
-        counters_(counters) {
-    accept_thread_ = std::thread([this] { accept_loop(); });
-  }
-
-  ~ThreadedImpl() override { stop(); }
-
-  [[nodiscard]] std::uint16_t port() const noexcept override {
-    return port_;
-  }
-  [[nodiscard]] ServerOptions::Mode mode() const noexcept override {
-    return ServerOptions::Mode::kThreadPerConnection;
-  }
-  [[nodiscard]] EventLoop::Backend backend() const noexcept override {
-    return EventLoop::Backend::kEpoll;
-  }
-
-  void stop() override RELDEV_EXCLUDES(mutex_) {
-    if (stopping_.exchange(true)) return;
-    // shutdown() wakes the accept loop without racing its fd reads; the
-    // descriptor is only closed once the thread has been joined.
-    acceptor_.shutdown();
-    if (accept_thread_.joinable()) accept_thread_.join();
-    acceptor_.close();
-    std::map<std::uint64_t, std::thread> workers;
-    {
-      const MutexLock lock(mutex_);
-      // Wake every worker blocked in recv() on a live connection.
-      for (const auto& [id, connection] : connections_) {
-        connection->shutdown();
-      }
-      workers.swap(workers_);
-      finished_.clear();
-    }
-    for (auto& [id, worker] : workers) {
-      if (worker.joinable()) worker.join();
-    }
-    const MutexLock lock(mutex_);
-    connections_.clear();
-  }
-
- private:
-  /// Join workers whose connections have closed. A worker cannot join
-  /// itself, so it parks its id in `finished_` and the accept thread (or
-  /// stop()) joins it — keeping the worker map bounded by the number of
-  /// *live* connections instead of growing for the server's lifetime.
-  void reap_finished() RELDEV_EXCLUDES(mutex_) {
-    std::vector<std::thread> done;
-    {
-      const MutexLock lock(mutex_);
-      done.reserve(finished_.size());
-      for (const std::uint64_t id : finished_) {
-        auto it = workers_.find(id);
-        if (it == workers_.end()) continue;  // stop() already took it
-        done.push_back(std::move(it->second));
-        workers_.erase(it);
-      }
-      finished_.clear();
-    }
-    for (auto& worker : done) {
-      if (worker.joinable()) worker.join();
-    }
-  }
-
-  void accept_loop() RELDEV_EXCLUDES(mutex_) {
-    while (!stopping_.load()) {
-      auto socket = acceptor_.accept();
-      reap_finished();
-      if (!socket) {
-        if (stopping_.load()) break;
-        RELDEV_WARN("tcp-server")
-            << "accept failed: " << socket.status().to_string();
-        break;
-      }
-      auto connection = std::make_shared<Socket>(std::move(socket).value());
-      const MutexLock lock(mutex_);
-      if (stopping_.load()) break;
-      const std::uint64_t id = next_worker_id_++;
-      connections_.emplace(id, connection);
-      counters_->active_connections.fetch_add(1);
-      workers_.emplace(id, std::thread([this, id, connection] {
-                         serve_connection(*connection);
-                         counters_->active_connections.fetch_sub(1);
-                         const MutexLock done_lock(mutex_);
-                         connections_.erase(id);
-                         finished_.push_back(id);
-                       }));
-    }
-  }
-
-  void serve_connection(Socket& socket) {
-    while (!stopping_.load()) {
-      auto frame = read_frame(socket);
-      if (!frame) {
-        count_bad_frame(frame.status(), *counters_);
-        return;  // peer is gone or stream is corrupt; drop the connection
-      }
-      counters_->served_frames.fetch_add(1);
-      auto request = Message::decode(frame.value());
-      Message reply = request ? handler_->handle(request.value())
-                              : make_error(0, request.status());
-      const auto encoded = reply.encode();
-      if (auto status = write_frame(socket, encoded); !status.is_ok()) {
-        RELDEV_DEBUG("tcp-server") << "reply failed: " << status.to_string();
-        return;
-      }
-    }
-  }
-
-  Acceptor acceptor_;
-  const std::uint16_t port_ = acceptor_.port();
-  MessageHandler* handler_;
-  ServerCounters* counters_;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  Mutex mutex_{"TcpServer.ThreadedImpl.mutex"};
-  std::uint64_t next_worker_id_ RELDEV_GUARDED_BY(mutex_) = 0;
-  std::map<std::uint64_t, std::thread> workers_ RELDEV_GUARDED_BY(mutex_);
-  std::vector<std::uint64_t> finished_ RELDEV_GUARDED_BY(mutex_);
-  // Live connection sockets, shut down by stop() so workers blocked in
-  // recv() wake up and exit.
-  std::map<std::uint64_t, std::shared_ptr<Socket>> connections_
-      RELDEV_GUARDED_BY(mutex_);
-};
-
-// --------------------------------------------------------------------------
-// Reactor mode: sharded event loops + a handler worker pool.
-// --------------------------------------------------------------------------
-
-/// Fixed pool executing MessageHandler calls so a slow handler stalls one
-/// worker, not an event loop. stop() drains queued jobs before joining.
-class WorkerPool {
- public:
-  explicit WorkerPool(std::size_t threads) {
-    for (std::size_t i = 0; i < threads; ++i) {
-      threads_.emplace_back([this] { worker(); });
-    }
-  }
-
-  ~WorkerPool() { stop(); }
-
-  void submit(std::function<void()> job) RELDEV_EXCLUDES(mutex_) {
-    {
-      const MutexLock lock(mutex_);
-      if (stopping_) return;  // dropped; the server is shutting down
-      queue_.push_back(std::move(job));
-    }
-    cv_.notify_one();
-  }
-
-  void stop() RELDEV_EXCLUDES(mutex_) {
-    {
-      const MutexLock lock(mutex_);
-      if (stopping_) return;
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    for (auto& thread : threads_) {
-      if (thread.joinable()) thread.join();
-    }
-  }
-
- private:
-  void worker() RELDEV_EXCLUDES(mutex_) {
-    for (;;) {
-      std::function<void()> job;
-      {
-        const MutexLock lock(mutex_);
-        while (queue_.empty() && !stopping_) cv_.wait(mutex_);
-        if (queue_.empty()) return;  // stopping and drained
-        job = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      job();
-    }
-  }
-
-  Mutex mutex_{"TcpServer.WorkerPool.mutex"};
-  CondVar cv_;
-  std::deque<std::function<void()>> queue_ RELDEV_GUARDED_BY(mutex_);
-  bool stopping_ RELDEV_GUARDED_BY(mutex_) = false;
-  std::vector<std::thread> threads_;
-};
-
-class ReactorImpl final : public TcpServer::Impl {
- public:
-  ReactorImpl(Acceptor acceptor, MessageHandler* handler,
-              ServerCounters* counters, const ServerOptions& options,
-              std::vector<std::unique_ptr<EventLoop>> loops)
-      : acceptor_(std::move(acceptor)), handler_(handler),
-        counters_(counters), options_(options),
-        backend_(loops.front()->backend()),
-        pool_(options.inline_handlers
-                  ? 0
-                  : (options.handler_threads != 0
-                         ? options.handler_threads
-                         : std::max<std::size_t>(
-                               8, std::thread::hardware_concurrency()))) {
+        counters_(counters), options_(options) {
     shards_.reserve(loops.size());
     for (auto& loop : loops) {
       shards_.push_back(std::make_unique<Shard>());
@@ -268,19 +59,11 @@ class ReactorImpl final : public TcpServer::Impl {
     run_on_shard(0, [this] { arm_accept(); });
   }
 
-  ~ReactorImpl() override { stop(); }
+  ~Impl() { stop(); }
 
-  [[nodiscard]] std::uint16_t port() const noexcept override {
-    return port_;
-  }
-  [[nodiscard]] ServerOptions::Mode mode() const noexcept override {
-    return ServerOptions::Mode::kReactor;
-  }
-  [[nodiscard]] EventLoop::Backend backend() const noexcept override {
-    return backend_;
-  }
+  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  void stop() override {
+  void stop() {
     if (stopping_.exchange(true)) return;
     // 1. Stop accepting: drop the pending accept op, close the listener.
     run_on_shard(0, [this] { shards_[0]->loop->cancel(acceptor_.fd()); });
@@ -295,7 +78,7 @@ class ReactorImpl final : public TcpServer::Impl {
     }
     // 3. Drain the handler pool. Completions posted to the still-running
     //    loops see closed connections and do nothing.
-    pool_.stop();
+    pool_.reset();
     // 4. Now the loops can go.
     for (auto& shard : shards_) {
       shard->loop->stop();
@@ -316,17 +99,17 @@ class ReactorImpl final : public TcpServer::Impl {
   };
 
   /// Per-connection frame state machine. Owned by exactly one shard and
-  /// mutated only on that shard's loop thread; the worker pool touches a
+  /// mutated only on that shard's loop thread; the handler pool touches a
   /// Conn only to post completions back to its loop. Strict cycle per
   /// connection — read frame, dispatch, write reply, read again — so
   /// replies keep request order without sequence numbers.
   struct Conn : std::enable_shared_from_this<Conn> {
-    ReactorImpl* server = nullptr;
+    Impl* server = nullptr;
     Shard* shard = nullptr;
     int fd = -1;
     bool closed = false;
     // Read state: the fixed prefix lands in `prefix`; payload + CRC
-    // trailer land in one arena buffer that travels to the worker, so
+    // trailer land in one arena buffer that travels to the pool, so
     // payload bytes are written exactly once between recv() and decode.
     std::array<std::byte, kFramePrefixSize> prefix{};
     bool reading_body = false;
@@ -421,20 +204,13 @@ class ReactorImpl final : public TcpServer::Impl {
       const std::uint32_t length = body_len;
       reading_body = false;
       read_off = 0;
-      if (server->options_.inline_handlers) {
-        // Non-blocking handlers run right here on the loop shard: no pool
-        // hop, no cross-thread wakeup per request.
-        const util::ArenaBuffer request = std::move(body);
-        start_write(run_handler(server->handler_, request, length));
-        return;
-      }
       // Hand the payload — still in the arena buffer, zero copies since
-      // recv — to the worker pool; the reply comes back via the loop.
+      // recv — to the handler pool; the reply comes back via the loop.
       auto self = shared_from_this();
       // std::function requires copyable targets; the move-only arena
       // buffer rides in a shared_ptr.
       auto frame = std::make_shared<util::ArenaBuffer>(std::move(body));
-      server->pool_.submit([self, frame, length] {
+      server->pool_->submit([self, frame, length] {
         std::vector<std::byte> encoded =
             run_handler(self->server->handler_, *frame, length);
         EventLoop* loop = self->shard->loop.get();
@@ -446,7 +222,7 @@ class ReactorImpl final : public TcpServer::Impl {
     }
 
     /// Decode, dispatch, encode: the per-request work that runs on a pool
-    /// worker (default) or inline on the loop shard (inline_handlers).
+    /// thread.
     static std::vector<std::byte> run_handler(MessageHandler* handler,
                                               const util::ArenaBuffer& frame,
                                               std::uint32_t length) {
@@ -583,14 +359,14 @@ class ReactorImpl final : public TcpServer::Impl {
   MessageHandler* handler_;
   ServerCounters* counters_;
   const ServerOptions options_;
-  const EventLoop::Backend backend_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::size_t> next_shard_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
-  WorkerPool pool_;
+  // The server's own pool, never FanOut::shared(): handlers block on
+  // fan-out tasks queued there, so sharing it would starve both. Sized
+  // FanOut::default_thread_count(); destroyed (drained) by stop().
+  std::unique_ptr<FanOut> pool_ = std::make_unique<FanOut>();
 };
-
-}  // namespace
 
 Result<std::unique_ptr<TcpServer>> TcpServer::start(
     std::uint16_t port, MessageHandler* handler,
@@ -599,28 +375,21 @@ Result<std::unique_ptr<TcpServer>> TcpServer::start(
   auto acceptor = Acceptor::listen(port);
   if (!acceptor) return acceptor.status();
   auto server = std::unique_ptr<TcpServer>(new TcpServer());
-  if (options.mode == ServerOptions::Mode::kThreadPerConnection) {
-    server->impl_ = std::make_unique<ThreadedImpl>(
-        std::move(acceptor).value(), handler, &server->counters_);
-    return server;
-  }
   if (auto status = acceptor.value().set_nonblocking(true); !status.is_ok()) {
     return status;
   }
   const std::size_t shard_count =
-      options.loop_shards != 0
-          ? options.loop_shards
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
   std::vector<std::unique_ptr<EventLoop>> loops;
   loops.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
-    auto loop = EventLoop::create(options.backend);
+    auto loop = EventLoop::create();
     if (!loop) return loop.status();
     loops.push_back(std::move(loop).value());
   }
-  server->impl_ = std::make_unique<ReactorImpl>(std::move(acceptor).value(),
-                                                handler, &server->counters_,
-                                                options, std::move(loops));
+  server->impl_ = std::make_unique<Impl>(std::move(acceptor).value(), handler,
+                                         &server->counters_, options,
+                                         std::move(loops));
   return server;
 }
 
@@ -629,12 +398,6 @@ TcpServer::~TcpServer() {
 }
 
 std::uint16_t TcpServer::port() const noexcept { return impl_->port(); }
-
-ServerOptions::Mode TcpServer::mode() const noexcept { return impl_->mode(); }
-
-EventLoop::Backend TcpServer::backend() const noexcept {
-  return impl_->backend();
-}
 
 void TcpServer::stop() { impl_->stop(); }
 

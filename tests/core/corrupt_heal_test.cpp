@@ -4,11 +4,11 @@
 // never served to a client.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <optional>
 #include <string>
 
 #include "reldev/core/group.hpp"
+#include "support/temp_dir.hpp"
 
 namespace reldev::core {
 namespace {
@@ -24,22 +24,11 @@ storage::BlockData payload(std::uint8_t tag) {
 class CorruptHealTest : public ::testing::TestWithParam<SchemeKind> {
  protected:
   CorruptHealTest() {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("reldev_heal_" +
-            std::string(scheme_kind_name(GetParam())) + "_" +
-            std::to_string(
-                ::testing::UnitTest::GetInstance()->random_seed()));
-    std::filesystem::create_directories(dir_);
     PersistentOptions persist;
-    persist.directory = dir_.string();
+    persist.directory = dir_.path().string();
     group_.emplace(GetParam(),
                    GroupConfig::majority(kSites, kBlocks, kBlockSize),
                    persist);
-  }
-  ~CorruptHealTest() override {
-    group_.reset();
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_, ignored);
   }
 
   /// Rot `block`'s payload bytes in site's file behind the store's back:
@@ -56,7 +45,8 @@ class CorruptHealTest : public ::testing::TestWithParam<SchemeKind> {
                     .is_ok());
   }
 
-  std::filesystem::path dir_;
+  // Declared before group_, so the directory outlives the group.
+  test::TempDir dir_{"reldev_heal"};
   std::optional<ReplicaGroup> group_;
 };
 

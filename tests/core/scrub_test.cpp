@@ -6,13 +6,13 @@
 // replicas' backs — the on-disk shape of a missed update or silent rot.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <optional>
 #include <string>
 #include <unordered_map>
 
 #include "reldev/core/group.hpp"
 #include "reldev/storage/scrubber.hpp"
+#include "support/temp_dir.hpp"
 
 namespace reldev::core {
 namespace {
@@ -252,14 +252,10 @@ TEST(ScrubCollisionTest, CollidingDigestsAreUndetectedButHarmless) {
 }
 
 TEST(ScrubCursorResumeTest, KillAndRestartResumesMidCycle) {
-  const auto dir =
-      std::filesystem::temp_directory_path() /
-      ("reldev_scrub_resume_" +
-       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
-  std::filesystem::create_directories(dir);
+  const test::TempDir dir("reldev_scrub_resume");
   {
     PersistentOptions persist;
-    persist.directory = dir.string();
+    persist.directory = dir.path().string();
     ReplicaGroup group(SchemeKind::kAvailableCopy,
                        GroupConfig::majority(kSites, kBlocks, kBlockSize),
                        persist);
@@ -282,8 +278,6 @@ TEST(ScrubCursorResumeTest, KillAndRestartResumesMidCycle) {
     EXPECT_FALSE(report.value().cycle_completed);
     EXPECT_EQ(group.scrubber(0).cursor(), 6u);
   }
-  std::error_code ignored;
-  std::filesystem::remove_all(dir, ignored);
 }
 
 }  // namespace

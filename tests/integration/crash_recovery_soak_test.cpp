@@ -19,7 +19,6 @@
 // restart order must still produce the most recent data.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <map>
 #include <optional>
 #include <set>
@@ -29,6 +28,7 @@
 
 #include "reldev/core/group.hpp"
 #include "reldev/util/rng.hpp"
+#include "support/temp_dir.hpp"
 
 namespace reldev::core {
 namespace {
@@ -52,10 +52,7 @@ class CrashRecoverySoakTest
 
   void TearDown() override {
     group_.reset();
-    if (!dir_.empty()) {
-      std::error_code ignored;
-      std::filesystem::remove_all(dir_, ignored);
-    }
+    dir_.reset();
   }
 
   /// A fresh persistent group in a fresh directory for one crash cycle.
@@ -64,16 +61,10 @@ class CrashRecoverySoakTest
   /// commits AND automatic checkpoints.
   void fresh_group(const std::string& label, bool journal = false) {
     group_.reset();
-    if (!dir_.empty()) {
-      std::error_code ignored;
-      std::filesystem::remove_all(dir_, ignored);
-    }
-    dir_ = std::filesystem::temp_directory_path() /
-           ("reldev_crashsoak_" + std::string(scheme_kind_name(scheme_)) +
-            "_" + std::to_string(seed_ & 0xFFFF) + "_" + label);
-    std::filesystem::create_directories(dir_);
+    dir_.reset();
+    dir_.emplace("reldev_crashsoak_" + label);
     PersistentOptions persist;
-    persist.directory = dir_.string();
+    persist.directory = dir_->path().string();
     persist.journal = journal;
     persist.journal_options.checkpoint_bytes = 512;
     group_.emplace(scheme_, GroupConfig::majority(kSites, kBlocks, kBlockSize),
@@ -164,7 +155,8 @@ class CrashRecoverySoakTest
 
   SchemeKind scheme_;
   std::uint64_t seed_;
-  std::filesystem::path dir_;
+  // Declared before group_, so the directory outlives the group.
+  std::optional<test::TempDir> dir_;
   std::optional<ReplicaGroup> group_;
   std::vector<std::uint8_t> acked_;
   std::vector<std::optional<std::uint8_t>> inflight_;

@@ -10,6 +10,7 @@
 #include "reldev/core/available_copy_replica.hpp"
 #include "reldev/net/inproc_transport.hpp"
 #include "reldev/storage/file_block_store.hpp"
+#include "support/temp_dir.hpp"
 
 namespace reldev::core {
 namespace {
@@ -78,23 +79,15 @@ class SiteProcess {
 class PersistenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("reldev_persist_" + std::string(::testing::UnitTest::GetInstance()
-                                                ->current_test_info()
-                                                ->name()));
-    std::filesystem::create_directories(dir_);
     config_ = GroupConfig::majority(3, kBlocks, kBlockSize);
     for (SiteId site = 0; site < 3; ++site) {
-      sites_.push_back(
-          std::make_unique<SiteProcess>(site, config_, dir_, transport_));
+      sites_.push_back(std::make_unique<SiteProcess>(site, config_,
+                                                     dir_.path(), transport_));
     }
   }
-  void TearDown() override {
-    sites_.clear();
-    std::filesystem::remove_all(dir_);
-  }
 
-  std::filesystem::path dir_;
+  // Declared before sites_, so the directory outlives the sites.
+  test::TempDir dir_{"reldev_persist"};
   GroupConfig config_;
   net::InProcTransport transport_;
   std::vector<std::unique_ptr<SiteProcess>> sites_;

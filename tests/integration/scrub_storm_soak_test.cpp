@@ -14,7 +14,6 @@
 // delay convergence, never prevent it.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -22,6 +21,7 @@
 
 #include "reldev/core/group.hpp"
 #include "reldev/util/rng.hpp"
+#include "support/temp_dir.hpp"
 
 namespace reldev::core {
 namespace {
@@ -44,24 +44,14 @@ class ScrubStormSoakTest
  protected:
   ScrubStormSoakTest()
       : scheme_(std::get<0>(GetParam())), seed_(std::get<1>(GetParam())) {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("reldev_scrubstorm_" + std::string(scheme_kind_name(scheme_)) +
-            "_" + std::to_string(seed_));
-    std::filesystem::create_directories(dir_);
     PersistentOptions persist;
-    persist.directory = dir_.string();
+    persist.directory = dir_.path().string();
     group_.emplace(scheme_, GroupConfig::majority(kSites, kBlocks, kBlockSize),
                    persist);
     ScrubOptions options;
     options.batch_blocks = 4;  // four steps per cycle: room for mid-cycle storms
     group_->set_scrub_options(options);
     acked_.assign(kBlocks, 0);
-  }
-
-  ~ScrubStormSoakTest() override {
-    group_.reset();
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_, ignored);
   }
 
   void tracked_write(Rng& rng) {
@@ -144,7 +134,8 @@ class ScrubStormSoakTest
 
   SchemeKind scheme_;
   std::uint64_t seed_;
-  std::filesystem::path dir_;
+  // Declared before group_, so the directory outlives the group.
+  test::TempDir dir_{"reldev_scrubstorm"};
   std::optional<ReplicaGroup> group_;
   std::vector<std::uint8_t> acked_;
 };

@@ -1,7 +1,5 @@
-// EventLoop backend tests. Every test is parameterized over the available
-// backends (epoll always; io_uring when the kernel supports it) so both
-// implementations honour the same contract: one-shot ops, loop-thread
-// arming, cancel-means-never-fires, cross-thread post/stop.
+// EventLoop contract tests: one-shot ops, loop-thread arming,
+// cancel-means-never-fires, cross-thread post/stop.
 #include "reldev/net/tcp/event_loop.hpp"
 
 #include <gtest/gtest.h>
@@ -22,17 +20,12 @@ namespace {
 
 using namespace std::chrono_literals;
 
-class EventLoopTest : public ::testing::TestWithParam<EventLoop::Backend> {
+class EventLoopTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (GetParam() == EventLoop::Backend::kIoUring &&
-        !EventLoop::io_uring_available()) {
-      GTEST_SKIP() << "io_uring not available on this kernel/build";
-    }
-    auto loop = EventLoop::create(GetParam());
+    auto loop = EventLoop::create();
     ASSERT_TRUE(loop.is_ok()) << loop.status().to_string();
     loop_ = std::move(loop).value();
-    ASSERT_EQ(loop_->backend(), GetParam());
     thread_ = std::thread([this] { loop_->run(); });
   }
 
@@ -56,7 +49,7 @@ class EventLoopTest : public ::testing::TestWithParam<EventLoop::Backend> {
   std::thread thread_;
 };
 
-TEST_P(EventLoopTest, PostRunsTaskOnLoopThread) {
+TEST_F(EventLoopTest, PostRunsTaskOnLoopThread) {
   std::atomic<bool> ran{false};
   std::thread::id loop_tid;
   on_loop([&] {
@@ -68,7 +61,7 @@ TEST_P(EventLoopTest, PostRunsTaskOnLoopThread) {
   EXPECT_NE(loop_tid, std::this_thread::get_id());
 }
 
-TEST_P(EventLoopTest, TimerFiresAfterDelay) {
+TEST_F(EventLoopTest, TimerFiresAfterDelay) {
   std::promise<void> fired;
   auto fut = fired.get_future();
   const auto start = std::chrono::steady_clock::now();
@@ -77,7 +70,7 @@ TEST_P(EventLoopTest, TimerFiresAfterDelay) {
   EXPECT_GE(std::chrono::steady_clock::now() - start, 25ms);
 }
 
-TEST_P(EventLoopTest, CancelledTimerNeverFires) {
+TEST_F(EventLoopTest, CancelledTimerNeverFires) {
   std::atomic<bool> cancelled_fired{false};
   std::promise<void> sentinel;
   auto fut = sentinel.get_future();
@@ -91,7 +84,7 @@ TEST_P(EventLoopTest, CancelledTimerNeverFires) {
   EXPECT_FALSE(cancelled_fired.load());
 }
 
-TEST_P(EventLoopTest, TimersFireInDeadlineOrder) {
+TEST_F(EventLoopTest, TimersFireInDeadlineOrder) {
   std::vector<int> order;
   std::promise<void> done;
   auto fut = done.get_future();
@@ -106,7 +99,7 @@ TEST_P(EventLoopTest, TimersFireInDeadlineOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST_P(EventLoopTest, AcceptReadWriteRoundTrip) {
+TEST_F(EventLoopTest, AcceptReadWriteRoundTrip) {
   auto acceptor = Acceptor::listen(0);
   ASSERT_TRUE(acceptor.is_ok());
   ASSERT_TRUE(acceptor.value().set_nonblocking(true).is_ok());
@@ -162,7 +155,7 @@ TEST_P(EventLoopTest, AcceptReadWriteRoundTrip) {
   ::close(server_fd);
 }
 
-TEST_P(EventLoopTest, ReadSeesEofAsZero) {
+TEST_F(EventLoopTest, ReadSeesEofAsZero) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
   std::promise<std::size_t> got;
@@ -183,7 +176,7 @@ TEST_P(EventLoopTest, ReadSeesEofAsZero) {
   ::close(fds[0]);
 }
 
-TEST_P(EventLoopTest, ScatterGatherCoversAllIovecs) {
+TEST_F(EventLoopTest, ScatterGatherCoversAllIovecs) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
   const std::string a = "alpha";
@@ -229,7 +222,7 @@ TEST_P(EventLoopTest, ScatterGatherCoversAllIovecs) {
   ::close(fds[1]);
 }
 
-TEST_P(EventLoopTest, CancelledOpNeverFiresItsHandler) {
+TEST_F(EventLoopTest, CancelledOpNeverFiresItsHandler) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
   std::atomic<bool> fired{false};
@@ -255,14 +248,14 @@ TEST_P(EventLoopTest, CancelledOpNeverFiresItsHandler) {
   ::close(fds[1]);
 }
 
-TEST_P(EventLoopTest, StopFromAnotherThreadUnblocksRun) {
+TEST_F(EventLoopTest, StopFromAnotherThreadUnblocksRun) {
   // SetUp started run(); stopping here must make the thread joinable fast.
   loop_->stop();
   thread_.join();
   SUCCEED();
 }
 
-TEST_P(EventLoopTest, PartialWriteContinuation) {
+TEST_F(EventLoopTest, PartialWriteContinuation) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
   // Shrink the send buffer so a large write cannot complete in one syscall.
@@ -313,24 +306,6 @@ TEST_P(EventLoopTest, PartialWriteContinuation) {
   ::close(fds[0]);
   ::close(fds[1]);
 }
-
-TEST(EventLoopFactoryTest, IoUringPreferenceFallsBackCleanly) {
-  auto loop = EventLoop::create(EventLoop::Backend::kIoUring);
-  ASSERT_TRUE(loop.is_ok()) << loop.status().to_string();
-  if (EventLoop::io_uring_available()) {
-    EXPECT_EQ(loop.value()->backend(), EventLoop::Backend::kIoUring);
-  } else {
-    EXPECT_EQ(loop.value()->backend(), EventLoop::Backend::kEpoll);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, EventLoopTest,
-    ::testing::Values(EventLoop::Backend::kEpoll,
-                      EventLoop::Backend::kIoUring),
-    [](const ::testing::TestParamInfo<EventLoop::Backend>& param) {
-      return param.param == EventLoop::Backend::kEpoll ? "Epoll" : "IoUring";
-    });
 
 }  // namespace
 }  // namespace reldev::net::tcp

@@ -72,24 +72,6 @@ TEST(FanOutTest, SharedPoolIsUsable) {
   EXPECT_GE(FanOut::shared().thread_count(), 1u);
 }
 
-TEST(FanOutTest, SharedPoolCanBeResized) {
-  FanOut::set_shared_thread_count(3);
-  EXPECT_EQ(FanOut::shared().thread_count(), 3u);
-  // The replacement pool still executes work.
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) {
-    FanOut::shared().submit([&ran] { ran.fetch_add(1); });
-  }
-  const auto deadline = Clock::now() + 5s;
-  while (ran.load() < 8 && Clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_EQ(ran.load(), 8);
-  // Restore the default size for any test running after this one.
-  FanOut::set_shared_thread_count(FanOut::default_thread_count());
-  EXPECT_EQ(FanOut::shared().thread_count(), FanOut::default_thread_count());
-}
-
 TEST(TrafficMeterConcurrencyTest, ConcurrentAddForIsLossless) {
   TrafficMeter meter;
   constexpr int kThreads = 8;

@@ -1,8 +1,7 @@
-// Connection-churn and shutdown stress for both server execution modes:
-// hundreds of short-lived clients, half-written frames, mid-frame
-// disconnects, and stop() while requests are in flight. These are the
-// paths where a readiness-driven server can leak state machines or hang
-// its shutdown; the thread-per-connection baseline runs the same suite.
+// Connection-churn and shutdown stress for the TCP server: hundreds of
+// short-lived clients, half-written frames, mid-frame disconnects, and
+// stop() while requests are in flight. These are the paths where a
+// readiness-driven server can leak state machines or hang its shutdown.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -36,25 +35,11 @@ class CountingHandler : public MessageHandler {
   const std::chrono::milliseconds delay_;
 };
 
-struct ServerConfig {
-  const char* name;
-  ServerOptions options;
-};
-
-class ServerChurnTest : public ::testing::TestWithParam<ServerConfig> {
+class ServerChurnTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const ServerOptions& options = GetParam().options;
-    if (options.mode == ServerOptions::Mode::kReactor &&
-        options.backend == EventLoop::Backend::kIoUring &&
-        !EventLoop::io_uring_available()) {
-      GTEST_SKIP() << "io_uring not available on this kernel/build";
-    }
-  }
-
   [[nodiscard]] static std::unique_ptr<TcpServer> start_server(
       MessageHandler* handler) {
-    return TcpServer::start(0, handler, GetParam().options).value();
+    return TcpServer::start(0, handler).value();
   }
 
   /// Spin until `predicate` holds or `deadline_ms` passes.
@@ -69,7 +54,7 @@ class ServerChurnTest : public ::testing::TestWithParam<ServerConfig> {
   }
 };
 
-TEST_P(ServerChurnTest, HundredsOfShortLivedClients) {
+TEST_F(ServerChurnTest, HundredsOfShortLivedClients) {
   CountingHandler handler;
   auto server = start_server(&handler);
   constexpr int kThreads = 8;
@@ -101,7 +86,7 @@ TEST_P(ServerChurnTest, HundredsOfShortLivedClients) {
       << "still " << server->active_connections() << " connections";
 }
 
-TEST_P(ServerChurnTest, PartialFramesAndMidFrameDisconnects) {
+TEST_F(ServerChurnTest, PartialFramesAndMidFrameDisconnects) {
   CountingHandler handler;
   auto server = start_server(&handler);
   for (int round = 0; round < 50; ++round) {
@@ -133,7 +118,7 @@ TEST_P(ServerChurnTest, PartialFramesAndMidFrameDisconnects) {
   EXPECT_TRUE(eventually([&] { return server->active_connections() <= 1; }));
 }
 
-TEST_P(ServerChurnTest, GarbageBytesCostOnlyThatConnection) {
+TEST_F(ServerChurnTest, GarbageBytesCostOnlyThatConnection) {
   CountingHandler handler;
   auto server = start_server(&handler);
   for (int i = 0; i < 10; ++i) {
@@ -151,7 +136,7 @@ TEST_P(ServerChurnTest, GarbageBytesCostOnlyThatConnection) {
   EXPECT_TRUE(channel.call(Message{0, StateInquiry{}}).is_ok());
 }
 
-TEST_P(ServerChurnTest, ShutdownUnderLoadIsPrompt) {
+TEST_F(ServerChurnTest, ShutdownUnderLoadIsPrompt) {
   // Regression: stop() used to wait on worker threads blocked in recv()
   // only after shutdown()-ing their sockets one by one; a server with
   // requests mid-handler must still come down in bounded time, closing
@@ -180,7 +165,7 @@ TEST_P(ServerChurnTest, ShutdownUnderLoadIsPrompt) {
   EXPECT_EQ(server->active_connections(), 0u);
 }
 
-TEST_P(ServerChurnTest, ConcurrentCallsDuringStopNeitherHangNorCrash) {
+TEST_F(ServerChurnTest, ConcurrentCallsDuringStopNeitherHangNorCrash) {
   CountingHandler handler;
   auto server = start_server(&handler);
   std::atomic<bool> go{true};
@@ -201,28 +186,10 @@ TEST_P(ServerChurnTest, ConcurrentCallsDuringStopNeitherHangNorCrash) {
   SUCCEED();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllModes, ServerChurnTest,
-    ::testing::Values(
-        ServerConfig{"ReactorEpoll",
-                     ServerOptions{.mode = ServerOptions::Mode::kReactor,
-                                   .backend = EventLoop::Backend::kEpoll}},
-        ServerConfig{"ReactorIoUring",
-                     ServerOptions{.mode = ServerOptions::Mode::kReactor,
-                                   .backend = EventLoop::Backend::kIoUring}},
-        ServerConfig{
-            "ThreadPerConnection",
-            ServerOptions{.mode = ServerOptions::Mode::kThreadPerConnection}}),
-    [](const ::testing::TestParamInfo<ServerConfig>& param) {
-      return param.param.name;
-    });
-
 TEST(ServerIdleTimeoutTest, ReactorReapsIdleConnections) {
   CountingHandler handler;
   auto server =
-      TcpServer::start(0, &handler,
-                       ServerOptions{.mode = ServerOptions::Mode::kReactor,
-                                     .idle_timeout = 50ms})
+      TcpServer::start(0, &handler, ServerOptions{.idle_timeout = 50ms})
           .value();
   auto socket = Socket::connect("127.0.0.1", server->port(), 1000ms);
   ASSERT_TRUE(socket.is_ok());

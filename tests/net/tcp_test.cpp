@@ -1,13 +1,20 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
+#include <thread>
 
 #include "reldev/net/tcp/tcp_client.hpp"
 #include "reldev/net/tcp/tcp_server.hpp"
 
 namespace reldev::net::tcp {
 namespace {
+
+using namespace std::chrono_literals;
 
 /// Thread-safe counting echo: replies StateInfo to StateInquiry and echoes
 /// ClientWriteRequests with an ok ClientWriteReply.
@@ -36,40 +43,22 @@ TEST(TcpSocketTest, BadAddressRejected) {
   EXPECT_EQ(socket.status().code(), reldev::ErrorCode::kInvalidArgument);
 }
 
-/// The three server execution configurations every server-facing test must
-/// hold under: reactor over epoll, reactor over io_uring (skipped where the
-/// kernel lacks it), and the thread-per-connection baseline.
-struct ServerConfig {
-  const char* name;
-  ServerOptions options;
-};
-
-class TcpServerModeTest : public ::testing::TestWithParam<ServerConfig> {
+class TcpServerModeTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const ServerOptions& options = GetParam().options;
-    if (options.mode == ServerOptions::Mode::kReactor &&
-        options.backend == EventLoop::Backend::kIoUring &&
-        !EventLoop::io_uring_available()) {
-      GTEST_SKIP() << "io_uring not available on this kernel/build";
-    }
-  }
-
   [[nodiscard]] static Result<std::unique_ptr<TcpServer>> start_server(
       MessageHandler* handler) {
-    return TcpServer::start(0, handler, GetParam().options);
+    return TcpServer::start(0, handler);
   }
 };
 
-TEST_P(TcpServerModeTest, EphemeralPortAssigned) {
+TEST_F(TcpServerModeTest, EphemeralPortAssigned) {
   EchoHandler handler;
   auto server = start_server(&handler);
   ASSERT_TRUE(server.is_ok());
   EXPECT_GT(server.value()->port(), 0);
-  EXPECT_EQ(server.value()->mode(), GetParam().options.mode);
 }
 
-TEST_P(TcpServerModeTest, RoundTripCall) {
+TEST_F(TcpServerModeTest, RoundTripCall) {
   EchoHandler handler;
   auto server = start_server(&handler).value();
   TcpChannel channel("127.0.0.1", server->port());
@@ -81,7 +70,7 @@ TEST_P(TcpServerModeTest, RoundTripCall) {
   EXPECT_EQ(server->served_frames(), 1u);
 }
 
-TEST_P(TcpServerModeTest, ManySequentialCallsOnOneConnection) {
+TEST_F(TcpServerModeTest, ManySequentialCallsOnOneConnection) {
   EchoHandler handler;
   auto server = start_server(&handler).value();
   TcpChannel channel("127.0.0.1", server->port());
@@ -91,7 +80,7 @@ TEST_P(TcpServerModeTest, ManySequentialCallsOnOneConnection) {
   EXPECT_EQ(handler.calls.load(), 50);
 }
 
-TEST_P(TcpServerModeTest, LargePayloadSurvives) {
+TEST_F(TcpServerModeTest, LargePayloadSurvives) {
   EchoHandler handler;
   auto server = start_server(&handler).value();
   TcpChannel channel("127.0.0.1", server->port());
@@ -104,7 +93,7 @@ TEST_P(TcpServerModeTest, LargePayloadSurvives) {
   EXPECT_TRUE(reply.value().holds<ClientWriteReply>());
 }
 
-TEST_P(TcpServerModeTest, MultipleClients) {
+TEST_F(TcpServerModeTest, MultipleClients) {
   EchoHandler handler;
   auto server = start_server(&handler).value();
   TcpChannel a("127.0.0.1", server->port());
@@ -115,7 +104,7 @@ TEST_P(TcpServerModeTest, MultipleClients) {
   EXPECT_EQ(handler.calls.load(), 3);
 }
 
-TEST_P(TcpServerModeTest, ChannelReconnectsAfterDisconnect) {
+TEST_F(TcpServerModeTest, ChannelReconnectsAfterDisconnect) {
   EchoHandler handler;
   auto server = start_server(&handler).value();
   TcpChannel channel("127.0.0.1", server->port());
@@ -125,7 +114,7 @@ TEST_P(TcpServerModeTest, ChannelReconnectsAfterDisconnect) {
   EXPECT_EQ(handler.calls.load(), 2);
 }
 
-TEST_P(TcpServerModeTest, CallAfterServerStopFails) {
+TEST_F(TcpServerModeTest, CallAfterServerStopFails) {
   EchoHandler handler;
   auto server = start_server(&handler).value();
   const std::uint16_t port = server->port();
@@ -136,21 +125,51 @@ TEST_P(TcpServerModeTest, CallAfterServerStopFails) {
   EXPECT_FALSE(reply.is_ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllModes, TcpServerModeTest,
-    ::testing::Values(
-        ServerConfig{"ReactorEpoll",
-                     ServerOptions{.mode = ServerOptions::Mode::kReactor,
-                                   .backend = EventLoop::Backend::kEpoll}},
-        ServerConfig{"ReactorIoUring",
-                     ServerOptions{.mode = ServerOptions::Mode::kReactor,
-                                   .backend = EventLoop::Backend::kIoUring}},
-        ServerConfig{
-            "ThreadPerConnection",
-            ServerOptions{.mode = ServerOptions::Mode::kThreadPerConnection}}),
-    [](const ::testing::TestParamInfo<ServerConfig>& param) {
-      return param.param.name;
-    });
+/// Replies to StateInquiry at once; a ClientWriteRequest blocks its handler
+/// until `release` opens, the way a replica handler blocks on storage I/O
+/// or on its peers.
+class BlockingHandler : public MessageHandler {
+ public:
+  Message handle(const Message& request) override {
+    if (request.holds<ClientWriteRequest>()) {
+      entered.store(true);
+      release.wait();
+      return Message{0, ClientWriteReply{0}};
+    }
+    return Message{0, StateInfo{SiteState::kAvailable, 7, {}}};
+  }
+  void handle_oneway(const Message&) override {}
+  std::atomic<bool> entered{false};
+  std::latch release{1};
+};
+
+TEST_F(TcpServerModeTest, BlockedHandlerDoesNotStallOtherConnections) {
+  BlockingHandler handler;
+  auto server = start_server(&handler).value();
+  TcpChannel blocked("127.0.0.1", server->port(), 10s);
+  auto pending = std::async(std::launch::async, [&] {
+    return blocked.call(Message{1, ClientWriteRequest{0, BlockData(16)}});
+  });
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!handler.entered.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_TRUE(handler.entered.load());
+  // Connections go to the loop shards round-robin, so one fresh connection
+  // per shard puts at least one on the blocked connection's shard.
+  const unsigned shards = std::max(1u, std::thread::hardware_concurrency());
+  for (unsigned i = 0; i < shards; ++i) {
+    TcpChannel other("127.0.0.1", server->port(), 2s);
+    auto reply = other.call(Message{2, StateInquiry{}});
+    EXPECT_TRUE(reply.is_ok()) << reply.status().to_string();
+  }
+  // Release before any fatal assertion: stop() drains the handler pool.
+  handler.release.count_down();
+  auto reply = pending.get();
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_TRUE(reply.value().holds<ClientWriteReply>());
+}
 
 TEST(TcpPeerTransportTest, RoutesPerSite) {
   EchoHandler h1;

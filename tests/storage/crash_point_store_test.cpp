@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "reldev/storage/crash_point_store.hpp"
+#include "support/temp_dir.hpp"
 
 namespace reldev::storage {
 namespace {
@@ -14,18 +15,8 @@ namespace {
 class CrashPointStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = std::filesystem::temp_directory_path() /
-            ("reldev_crashpt_" +
-             std::to_string(
-                 ::testing::UnitTest::GetInstance()->random_seed()) +
-             "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     store_ = std::make_unique<CrashPointBlockStore>(
         FileBlockStore::create(path_.string(), 4, 64).value());
-  }
-  void TearDown() override {
-    store_.reset();
-    std::filesystem::remove(path_);
   }
 
   BlockData pattern(std::size_t size, std::uint8_t seed) {
@@ -43,7 +34,9 @@ class CrashPointStoreTest : public ::testing::Test {
     store_->adopt(FileBlockStore::open(path_.string()).value());
   }
 
-  std::filesystem::path path_;
+  // Declared before store_, so the directory outlives the store.
+  test::TempDir dir_{"reldev_crashpt"};
+  const std::filesystem::path path_ = dir_.path() / "site.rdev";
   std::unique_ptr<CrashPointBlockStore> store_;
 };
 

@@ -5,22 +5,13 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "support/temp_dir.hpp"
+
 namespace reldev::storage {
 namespace {
 
 class FileBlockStoreTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = std::filesystem::temp_directory_path() /
-            ("reldev_store_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed()) +
-             "_" + ::testing::UnitTest::GetInstance()
-                       ->current_test_info()
-                       ->name());
-  }
-  void TearDown() override { std::filesystem::remove(path_); }
-
   BlockData pattern(std::size_t size, std::uint8_t seed) {
     BlockData data(size);
     for (std::size_t i = 0; i < size; ++i) {
@@ -29,7 +20,8 @@ class FileBlockStoreTest : public ::testing::Test {
     return data;
   }
 
-  std::filesystem::path path_;
+  test::TempDir dir_{"reldev_store"};
+  const std::filesystem::path path_ = dir_.path() / "site.rdev";
 };
 
 TEST_F(FileBlockStoreTest, CreateInitializesZeroed) {

@@ -12,26 +12,13 @@
 #include <thread>
 
 #include "reldev/storage/crash_point_store.hpp"
+#include "support/temp_dir.hpp"
 
 namespace reldev::storage {
 namespace {
 
 class JournaledBlockStoreTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = std::filesystem::temp_directory_path() /
-            ("reldev_wal_store_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed()) +
-             "_" + ::testing::UnitTest::GetInstance()
-                       ->current_test_info()
-                       ->name());
-  }
-  void TearDown() override {
-    std::filesystem::remove(path_);
-    std::filesystem::remove(JournaledBlockStore::journal_path(path_.string()));
-  }
-
   BlockData pattern(std::size_t size, std::uint8_t seed) {
     BlockData data(size);
     for (std::size_t i = 0; i < size; ++i) {
@@ -47,7 +34,8 @@ class JournaledBlockStoreTest : public ::testing::Test {
     return std::move(store).value();
   }
 
-  std::filesystem::path path_;
+  test::TempDir dir_{"reldev_wal_store"};
+  const std::filesystem::path path_ = dir_.path() / "site.rdev";
 };
 
 TEST_F(JournaledBlockStoreTest, CreateInitializesZeroedWithJournalSidecar) {

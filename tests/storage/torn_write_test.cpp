@@ -11,22 +11,13 @@
 #include "reldev/storage/file_block_store.hpp"
 #include "reldev/util/crc32.hpp"
 #include "reldev/util/serial.hpp"
+#include "support/temp_dir.hpp"
 
 namespace reldev::storage {
 namespace {
 
 class TornWriteTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = std::filesystem::temp_directory_path() /
-            ("reldev_torn_" +
-             std::to_string(
-                 ::testing::UnitTest::GetInstance()->random_seed()) +
-             "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
-  }
-  void TearDown() override { std::filesystem::remove(path_); }
-
   BlockData pattern(std::size_t size, std::uint8_t seed) {
     BlockData data(size);
     for (std::size_t i = 0; i < size; ++i) {
@@ -43,7 +34,8 @@ class TornWriteTest : public ::testing::Test {
     std::fclose(f);
   }
 
-  std::filesystem::path path_;
+  test::TempDir dir_{"reldev_torn"};
+  const std::filesystem::path path_ = dir_.path() / "site.rdev";
 };
 
 TEST_F(TornWriteTest, TruncatedRecordDemotedOnOpen) {
