@@ -65,14 +65,6 @@ void seed_message_decode(const fs::path& dir) {
     Message msg{.from = static_cast<SiteId>(n++), .payload = std::move(payload)};
     write_with_variants(dir, name, msg.encode());
   };
-  emit("vote-request", VoteRequest{AccessKind::kWrite, 7});
-  emit("vote-reply", VoteReply{.version = 3, .weight_millivotes = 1500});
-  emit("block-fetch-reply", BlockFetchReply{.version = 9, .data = block});
-  emit("block-update", BlockUpdate{.block = 4, .version = 2, .data = block});
-  emit("write-all-request", WriteAllRequest{.block = 1,
-                                            .version = 11,
-                                            .data = block,
-                                            .was_available = sites});
   emit("state-info", StateInfo{.state = SiteState::kComatose,
                                .version_total = 12345,
                                .was_available = sites});

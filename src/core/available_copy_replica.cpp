@@ -60,106 +60,34 @@ void AvailableCopyReplica::persist_metadata() {
   }
 }
 
-Result<storage::BlockData> AvailableCopyReplica::read(BlockId block) {
-  // Reads are purely local (§3.2): every available copy holds the most
-  // recent version of every block, so no network traffic at all.
-  if (state_ != SiteState::kAvailable) {
-    return errors::unavailable(std::string("site is ") +
-                               net::site_state_name(state_));
-  }
-  auto stored = store_.read(block);
-  if (!stored && stored.status().code() == ErrorCode::kCorruption) {
-    // Purely-local reads meet media faults here: treat the torn record
-    // like an out-of-date copy — demote it and refill from any peer.
-    if (auto status = heal_corrupt_block(block); !status.is_ok()) {
-      return status;
-    }
-    stored = store_.read(block);
-  }
-  if (!stored) return stored.status();
-  return std::move(stored).value().data;
-}
-
-Status AvailableCopyReplica::write(BlockId block,
-                                   std::span<const std::byte> data) {
-  if (state_ != SiteState::kAvailable) {
-    return errors::unavailable(std::string("site is ") +
-                               net::site_state_name(state_));
-  }
-  if (data.size() != config_.block_size) {
-    return errors::invalid_argument("payload size != block size");
-  }
-  auto current = store_.version_of(block);
-  if (!current) return current.status();
-  const storage::VersionNumber next = current.value() + 1;
-
-  // Write to all available copies. Peers that are up and available apply
-  // the write and acknowledge; the ack set *is* the new was-available set.
-  net::WriteAllRequest push{block, next,
-                            storage::BlockData(data.begin(), data.end()),
-                            was_available_};
-  const auto replies =
-      transport_.multicast_call(self_, peers(), net::Message{self_, push});
-  if (auto status = store_.write(block, data, next); !status.is_ok()) {
-    return status;
-  }
-
-  SiteSet ack_set{self_};
-  for (const auto& [site, reply] : replies) {
-    if (reply.holds<net::WriteAllAck>()) ack_set.insert(site);
-  }
-  const bool changed = ack_set != was_available_;
-  was_available_ = ack_set;
-  if (changed) persist_metadata();
-
-  if (policy_ == WasAvailablePolicy::kEagerBroadcast && changed) {
-    // Push the exact ack set so every recipient's failure-order knowledge
-    // is current (the atomic-broadcast variant of §3.2).
-    SiteSet recipients = ack_set;
-    recipients.erase(self_);
-    transport_
-        .multicast(self_, recipients,
-                   net::Message{self_, net::WasAvailableUpdate{ack_set, true}})
-        .ignore_error();
-  }
-  return Status::ok();
-}
-
 Status AvailableCopyReplica::write_range(BlockId first,
                                          std::span<const std::byte> data) {
   if (state_ != SiteState::kAvailable) {
     return errors::unavailable(std::string("site is ") +
                                net::site_state_name(state_));
   }
-  if (data.empty() || data.size() % config_.block_size != 0) {
-    return errors::invalid_argument(
-        "vectored write payload must be a non-empty multiple of the block "
-        "size");
-  }
-  const std::size_t count = data.size() / config_.block_size;
-  if (auto status = check_range(first, count); !status.is_ok()) return status;
+  auto count = check_write_range(first, data);
+  if (!count) return count.status();
 
-  // Batched write-all: every update in one grouped push. Recipients apply
-  // the whole batch in one handler invocation, and the ack set is the new
-  // was-available set exactly as in the scalar path.
+  // Write to all available copies: every update in one grouped push.
+  // Recipients apply the whole batch in one handler invocation; peers that
+  // are up and available acknowledge, and the ack set *is* the new
+  // was-available set.
   net::BatchWriteRequest push;
-  push.updates.reserve(count);
-  std::vector<storage::VersionNumber> next_versions(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  push.updates.reserve(count.value());
+  for (std::size_t i = 0; i < count.value(); ++i) {
     auto current = store_.version_of(first + i);
     if (!current) return current.status();
-    next_versions[i] = current.value() + 1;
     const auto slice = data.subspan(i * config_.block_size, config_.block_size);
     push.updates.push_back(net::BlockUpdate{
-        first + i, next_versions[i],
+        first + i, current.value() + 1,
         storage::BlockData(slice.begin(), slice.end())});
   }
   push.was_available = was_available_;
-  const auto replies = transport_.multicast_call(
-      self_, peers(), net::Message{self_, std::move(push)});
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto slice = data.subspan(i * config_.block_size, config_.block_size);
-    if (auto status = store_.write(first + i, slice, next_versions[i]);
+  const net::Message message{self_, std::move(push)};
+  const auto replies = transport_.multicast_call(self_, peers(), message);
+  for (const auto& update : message.as<net::BatchWriteRequest>().updates) {
+    if (auto status = store_.write(update.block, update.data, update.version);
         !status.is_ok()) {
       return status;
     }
@@ -174,6 +102,8 @@ Status AvailableCopyReplica::write_range(BlockId first,
   if (changed) persist_metadata();
 
   if (policy_ == WasAvailablePolicy::kEagerBroadcast && changed) {
+    // Push the exact ack set so every recipient's failure-order knowledge
+    // is current (the atomic-broadcast variant of §3.2).
     SiteSet recipients = ack_set;
     recipients.erase(self_);
     transport_
@@ -269,42 +199,14 @@ Status AvailableCopyReplica::recover() {
   return Status::ok();
 }
 
-void AvailableCopyReplica::crash() { ReplicaBase::crash(); }
-
 net::Message AvailableCopyReplica::handle_peer(const net::Message& request) {
   if (request.holds<net::StateInquiry>()) {
     return net::Message{self_, net::StateInfo{state_, local_versions().total(),
                                               was_available_}};
   }
-  if (request.holds<net::WriteAllRequest>()) {
+  if (request.holds<net::BatchWriteRequest>()) {
     // Only available copies take writes; a comatose copy must finish
     // repairing first or it would mix stale and fresh blocks.
-    if (state_ != SiteState::kAvailable) {
-      return net::make_error(self_, errors::unavailable("copy not available"));
-    }
-    const auto& push = request.as<net::WriteAllRequest>();
-    auto current = store_.version_of(push.block);
-    if (!current) return net::make_error(self_, current.status());
-    if (push.version > current.value()) {
-      if (auto status = store_.write(push.block, push.data, push.version);
-          !status.is_ok()) {
-        return net::make_error(self_, status);
-      }
-    }
-    if (policy_ == WasAvailablePolicy::kPiggybacked) {
-      // Adopt the writer's (previous-write) set, extended with the two
-      // sites known to hold this write. Lag makes it a superset — safe.
-      SiteSet adopted = push.was_available;
-      adopted.insert(self_);
-      adopted.insert(request.from);
-      if (adopted != was_available_) {
-        was_available_ = std::move(adopted);
-        persist_metadata();
-      }
-    }
-    return net::Message{self_, net::WriteAllAck{}};
-  }
-  if (request.holds<net::BatchWriteRequest>()) {
     if (state_ != SiteState::kAvailable) {
       return net::make_error(self_, errors::unavailable("copy not available"));
     }
@@ -323,6 +225,8 @@ net::Message AvailableCopyReplica::handle_peer(const net::Message& request) {
       }
     }
     if (policy_ == WasAvailablePolicy::kPiggybacked) {
+      // Adopt the writer's (previous-write) set, extended with the two
+      // sites known to hold this write. Lag makes it a superset — safe.
       SiteSet adopted = push.was_available;
       adopted.insert(self_);
       adopted.insert(request.from);

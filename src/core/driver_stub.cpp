@@ -182,6 +182,9 @@ Result<storage::BlockData> DriverStub::read_block(BlockId block) {
     return Status(static_cast<ErrorCode>(read_reply.error_code),
                   "server-side read failed");
   }
+  if (read_reply.data.size() != block_size_) {
+    return errors::protocol("read returned wrong payload size");
+  }
   return read_reply.data;
 }
 

@@ -37,17 +37,17 @@ class AvailableCopyReplica final : public ReplicaBase {
     return "available-copy";
   }
 
-  /// Local read; kUnavailable unless this site is `available`.
-  [[nodiscard]] Result<storage::BlockData> read(BlockId block) override;
+  /// Local read; kUnavailable unless this site is `available`. No traffic
+  /// unless a block is corrupt and must be healed from peers.
+  [[nodiscard]] Result<storage::BlockData> read_range(BlockId first,
+                                                      std::size_t count) override {
+    return read_local(first, count);
+  }
 
-  /// Write-all: push to every peer, gather acknowledgements from the
-  /// available ones, and set W to exactly the set that received the write.
-  [[nodiscard]] Status write(BlockId block, std::span<const std::byte> data) override;
-
-  /// Batched write-all: the whole range rides in ONE grouped push (one
-  /// high-level transmission instead of one per block); the ack set becomes
-  /// W exactly as in the scalar path. Reads stay local, so the inherited
-  /// read_range loop is already zero-traffic.
+  /// Write-all: the whole range rides in ONE grouped push to every peer
+  /// (one high-level transmission however many blocks it carries); the
+  /// available peers acknowledge, and W becomes exactly the set that
+  /// received the write.
   [[nodiscard]] Status write_range(BlockId first, std::span<const std::byte> data) override;
 
   /// Figure 5. Becomes comatose, inquires group state, then either repairs
@@ -55,8 +55,6 @@ class AvailableCopyReplica final : public ReplicaBase {
   /// C*(W_s) has recovered and repairs from its highest-version member.
   /// kUnavailable while the wait condition is unmet (call again later).
   [[nodiscard]] Status recover() override;
-
-  void crash() override;
 
   /// The current was-available set (exposed for tests and experiments).
   [[nodiscard]] const SiteSet& was_available() const noexcept { return was_available_; }

@@ -19,22 +19,20 @@ class NaiveAvailableCopyReplica final : public ReplicaBase {
     return "naive-available-copy";
   }
 
-  [[nodiscard]] Result<storage::BlockData> read(BlockId block) override;
+  /// Local read, exactly as under the tracked scheme.
+  [[nodiscard]] Result<storage::BlockData> read_range(BlockId first,
+                                                      std::size_t count) override {
+    return read_local(first, count);
+  }
 
-  /// One unacknowledged push to all peers (a single transmission on a
-  /// multicast network — the scheme's whole advantage).
-  [[nodiscard]] Status write(BlockId block, std::span<const std::byte> data) override;
-
-  /// Batched naive write: the whole range in ONE unacknowledged grouped
-  /// push. Reads stay local, so the inherited read_range loop already
-  /// costs no traffic.
+  /// The whole range in ONE unacknowledged grouped push to all peers (a
+  /// single transmission on a multicast network — the scheme's whole
+  /// advantage).
   [[nodiscard]] Status write_range(BlockId first, std::span<const std::byte> data) override;
 
   /// Figure 6: repair from any available site, or — after a total failure —
   /// wait for all sites and take the highest version.
   [[nodiscard]] Status recover() override;
-
-  void crash() override;
 
  protected:
   net::Message handle_peer(const net::Message& request) override;

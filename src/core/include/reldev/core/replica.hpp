@@ -34,30 +34,33 @@ class ReplicaBase : public net::MessageHandler {
   [[nodiscard]] virtual const char* scheme_name() const noexcept = 0;
 
   // --- coordinator-side device operations --------------------------------
+  // Each scheme has one read and one write implementation: the range
+  // operations. A single-block operation is a range of one block.
 
   /// Read one block with the scheme's consistency rules.
-  [[nodiscard]] virtual Result<storage::BlockData> read(BlockId block) = 0;
+  [[nodiscard]] Result<storage::BlockData> read(BlockId block) {
+    return read_range(block, 1);
+  }
 
-  /// Write one block (full block) with the scheme's consistency rules.
-  [[nodiscard]] virtual Status write(BlockId block, std::span<const std::byte> data) = 0;
+  /// Write one block (full block) with the scheme's consistency rules:
+  /// kInvalidArgument unless `data` is exactly one block, otherwise the
+  /// range write of that one block.
+  [[nodiscard]] virtual Status write(BlockId block, std::span<const std::byte> data);
 
-  /// Vectored read of blocks [first, first + count) as one flat buffer.
-  /// The base implementation loops over read(); schemes override it to run
-  /// one quorum round for the whole range.
+  /// Read of blocks [first, first + count) as one flat buffer.
   [[nodiscard]] virtual Result<storage::BlockData> read_range(BlockId first,
-                                                std::size_t count);
+                                                std::size_t count) = 0;
 
-  /// Vectored write of data.size() / block_size consecutive blocks starting
-  /// at `first`. The base implementation loops over write(); schemes
-  /// override it to push the whole batch in one round.
-  [[nodiscard]] virtual Status write_range(BlockId first, std::span<const std::byte> data);
+  /// Write of data.size() / block_size consecutive blocks starting at
+  /// `first`.
+  [[nodiscard]] virtual Status write_range(BlockId first, std::span<const std::byte> data) = 0;
 
   // --- lifecycle -----------------------------------------------------------
 
   /// Fail-stop crash: volatile state is lost; persistent state (the block
   /// store and its metadata) survives. The caller is responsible for also
   /// marking the site unreachable on the transport.
-  virtual void crash();
+  void crash() noexcept { state_ = SiteState::kFailed; }
 
   /// Run the scheme's recovery procedure. Returns kOk when the replica
   /// reached `available`; kUnavailable when it must stay comatose and try
@@ -115,13 +118,51 @@ class ReplicaBase : public net::MessageHandler {
   /// and refill it from peers with one RepairRequest round, applying every
   /// answer. kOk once at least one peer replied (the block then holds the
   /// newest version any reachable peer had); kCorruption when the damaged
-  /// copy is the only one reachable. The available-copy family uses this
-  /// directly; voting heals through its vote round instead.
+  /// copy is the only one reachable. The available-copy family heals
+  /// through this (read_local); voting heals from its range vote instead.
   [[nodiscard]] Status heal_corrupt_block(BlockId block);
+
+  /// The available-copy family's read: kUnavailable unless this site is
+  /// `available`, then every block of the range is served locally, and a
+  /// corrupt one is first healed through heal_corrupt_block.
+  [[nodiscard]] Result<storage::BlockData> read_local(BlockId first,
+                                                      std::size_t count);
+
+  /// Every engine's last read step: blocks [first, first + count) from the
+  /// local store as one flat buffer. A record that fails its checksum is
+  /// handed to `heal(block)`, which must demote and refill it, and read
+  /// again. A one-block read returns the stored buffer without a copy.
+  template <typename Heal>
+  [[nodiscard]] Result<storage::BlockData> serve_local(BlockId first,
+                                                       std::size_t count,
+                                                       Heal heal) {
+    storage::BlockData out;
+    for (BlockId block = first; block < first + count; ++block) {
+      auto stored = store_.read(block);
+      if (!stored && stored.status().code() == ErrorCode::kCorruption) {
+        if (auto status = heal(block); !status.is_ok()) return status;
+        stored = store_.read(block);
+      }
+      if (!stored) return stored.status();
+      auto& data = stored.value().data;
+      if (block == first) {
+        out = std::move(data);
+        out.reserve(count * config_.block_size);
+      } else {
+        out.insert(out.end(), data.begin(), data.end());
+      }
+    }
+    return out;
+  }
 
   /// Validation shared by the range operations: count > 0 and the whole
   /// range inside the device.
   [[nodiscard]] Status check_range(BlockId first, std::size_t count) const;
+
+  /// check_range for a write payload, which must also be a non-empty
+  /// multiple of the block size. Returns the block count.
+  [[nodiscard]] Result<std::size_t> check_write_range(
+      BlockId first, std::span<const std::byte> data) const;
 
   SiteId self_;
   GroupConfig config_;

@@ -9,65 +9,17 @@ NaiveAvailableCopyReplica::NaiveAvailableCopyReplica(
     net::Transport& transport)
     : ReplicaBase(self, std::move(config), store, transport) {}
 
-Result<storage::BlockData> NaiveAvailableCopyReplica::read(BlockId block) {
-  if (state_ != SiteState::kAvailable) {
-    return errors::unavailable(std::string("site is ") +
-                               net::site_state_name(state_));
-  }
-  auto stored = store_.read(block);
-  if (!stored && stored.status().code() == ErrorCode::kCorruption) {
-    // Same media-fault handling as the tracked scheme: demote the torn
-    // record and refill it from any peer.
-    if (auto status = heal_corrupt_block(block); !status.is_ok()) {
-      return status;
-    }
-    stored = store_.read(block);
-  }
-  if (!stored) return stored.status();
-  return std::move(stored).value().data;
-}
-
-Status NaiveAvailableCopyReplica::write(BlockId block,
-                                        std::span<const std::byte> data) {
-  if (state_ != SiteState::kAvailable) {
-    return errors::unavailable(std::string("site is ") +
-                               net::site_state_name(state_));
-  }
-  if (data.size() != config_.block_size) {
-    return errors::invalid_argument("payload size != block size");
-  }
-  auto current = store_.version_of(block);
-  if (!current) return current.status();
-  const storage::VersionNumber next = current.value() + 1;
-  if (auto status = store_.write(block, data, next); !status.is_ok()) {
-    return status;
-  }
-  // The naive write: one unacknowledged push to everybody. Reliable
-  // delivery between live sites is assumed (§5.1); no was-available
-  // bookkeeping exists to update.
-  net::WriteAllRequest push{block, next,
-                            storage::BlockData(data.begin(), data.end()),
-                            SiteSet{}};
-  return transport_.multicast(self_, peers(),
-                              net::Message{self_, std::move(push)});
-}
-
 Status NaiveAvailableCopyReplica::write_range(BlockId first,
                                               std::span<const std::byte> data) {
   if (state_ != SiteState::kAvailable) {
     return errors::unavailable(std::string("site is ") +
                                net::site_state_name(state_));
   }
-  if (data.empty() || data.size() % config_.block_size != 0) {
-    return errors::invalid_argument(
-        "vectored write payload must be a non-empty multiple of the block "
-        "size");
-  }
-  const std::size_t count = data.size() / config_.block_size;
-  if (auto status = check_range(first, count); !status.is_ok()) return status;
+  auto count = check_write_range(first, data);
+  if (!count) return count.status();
   net::BatchWriteRequest push;
-  push.updates.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  push.updates.reserve(count.value());
+  for (std::size_t i = 0; i < count.value(); ++i) {
     auto current = store_.version_of(first + i);
     if (!current) return current.status();
     const storage::VersionNumber next = current.value() + 1;
@@ -78,8 +30,9 @@ Status NaiveAvailableCopyReplica::write_range(BlockId first,
     push.updates.push_back(net::BlockUpdate{
         first + i, next, storage::BlockData(slice.begin(), slice.end())});
   }
-  // One unacknowledged grouped push — still a single high-level
-  // transmission on a multicast network, now covering the whole range.
+  // The naive write: one unacknowledged grouped push to everybody. Reliable
+  // delivery between live sites is assumed (§5.1); no was-available
+  // bookkeeping exists to update.
   return transport_.multicast(self_, peers(),
                               net::Message{self_, std::move(push)});
 }
@@ -155,8 +108,6 @@ Status NaiveAvailableCopyReplica::recover() {
   return Status::ok();
 }
 
-void NaiveAvailableCopyReplica::crash() { ReplicaBase::crash(); }
-
 net::Message NaiveAvailableCopyReplica::handle_peer(
     const net::Message& request) {
   if (request.holds<net::StateInquiry>()) {
@@ -167,8 +118,7 @@ net::Message NaiveAvailableCopyReplica::handle_peer(
     return net::Message{
         self_, build_repair_reply(request.as<net::RepairRequest>().versions)};
   }
-  if (request.holds<net::WriteAllRequest>() ||
-      request.holds<net::BatchWriteRequest>()) {
+  if (request.holds<net::BatchWriteRequest>()) {
     // The naive push is normally one-way; answering the call form keeps
     // the engine usable over request/reply-only transports such as TCP.
     handle_peer_oneway(request);
@@ -181,16 +131,6 @@ net::Message NaiveAvailableCopyReplica::handle_peer(
 
 void NaiveAvailableCopyReplica::handle_peer_oneway(
     const net::Message& message) {
-  if (message.holds<net::WriteAllRequest>()) {
-    if (state_ != SiteState::kAvailable) return;  // comatose copies wait
-    const auto& push = message.as<net::WriteAllRequest>();
-    auto current = store_.version_of(push.block);
-    if (!current) return;
-    if (push.version > current.value()) {
-      store_.write(push.block, push.data, push.version).ignore_error();
-    }
-    return;
-  }
   if (message.holds<net::BatchWriteRequest>()) {
     if (state_ != SiteState::kAvailable) return;  // comatose copies wait
     for (const auto& update : message.as<net::BatchWriteRequest>().updates) {

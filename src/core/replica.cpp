@@ -17,8 +17,6 @@ ReplicaBase::ReplicaBase(SiteId self, GroupConfig config,
   RELDEV_EXPECTS(store.block_size() == config_.block_size);
 }
 
-void ReplicaBase::crash() { state_ = SiteState::kFailed; }
-
 Status ReplicaBase::check_range(BlockId first, std::size_t count) const {
   if (count == 0) {
     return errors::invalid_argument("vectored operation on empty range");
@@ -29,20 +27,8 @@ Status ReplicaBase::check_range(BlockId first, std::size_t count) const {
   return Status::ok();
 }
 
-Result<storage::BlockData> ReplicaBase::read_range(BlockId first,
-                                                   std::size_t count) {
-  if (auto status = check_range(first, count); !status.is_ok()) return status;
-  storage::BlockData out;
-  out.reserve(count * config_.block_size);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto block = read(first + i);
-    if (!block) return block.status();
-    out.insert(out.end(), block.value().begin(), block.value().end());
-  }
-  return out;
-}
-
-Status ReplicaBase::write_range(BlockId first, std::span<const std::byte> data) {
+Result<std::size_t> ReplicaBase::check_write_range(
+    BlockId first, std::span<const std::byte> data) const {
   if (data.empty() || data.size() % config_.block_size != 0) {
     return errors::invalid_argument(
         "vectored write payload must be a non-empty multiple of the block "
@@ -50,13 +36,30 @@ Status ReplicaBase::write_range(BlockId first, std::span<const std::byte> data) 
   }
   const std::size_t count = data.size() / config_.block_size;
   if (auto status = check_range(first, count); !status.is_ok()) return status;
-  for (std::size_t i = 0; i < count; ++i) {
-    auto status = write(first + i,
-                        data.subspan(i * config_.block_size,
-                                     config_.block_size));
-    if (!status.is_ok()) return status;
+  return count;
+}
+
+Status ReplicaBase::write(BlockId block, std::span<const std::byte> data) {
+  if (data.size() != config_.block_size) {
+    return errors::invalid_argument("payload size != block size");
   }
-  return Status::ok();
+  return write_range(block, data);
+}
+
+Result<storage::BlockData> ReplicaBase::read_local(BlockId first,
+                                                   std::size_t count) {
+  // Reads are purely local (§3.2): every available copy holds the most
+  // recent version of every block, so no network traffic at all.
+  if (state_ != SiteState::kAvailable) {
+    return errors::unavailable(std::string("site is ") +
+                               net::site_state_name(state_));
+  }
+  if (auto status = check_range(first, count); !status.is_ok()) return status;
+  // A media fault is treated like an out-of-date copy: demote the torn
+  // record and refill it from any peer.
+  return serve_local(first, count, [this](BlockId block) {
+    return heal_corrupt_block(block);
+  });
 }
 
 SiteSet ReplicaBase::peers() const {
@@ -123,21 +126,6 @@ net::Message ReplicaBase::handle(const net::Message& request) {
                                          std::move(scan.value().versions),
                                          std::move(scan.value().digests)}};
   }
-  if (request.holds<net::BlockFetchRequest>()) {
-    const BlockId block = request.as<net::BlockFetchRequest>().block;
-    auto stored = store_.read(block);
-    if (!stored) {
-      // A torn record must not be shipped; demote it so our next vote or
-      // digest offers version 0 and the fetcher goes elsewhere.
-      if (stored.status().code() == ErrorCode::kCorruption) {
-        store_.demote(block).ignore_error();
-      }
-      return net::make_error(self_, stored.status());
-    }
-    return net::Message{self_,
-                        net::BlockFetchReply{stored.value().version,
-                                             std::move(stored).value().data}};
-  }
   if (request.holds<net::BatchFetchRequest>()) {
     net::BatchFetchReply reply;
     const auto& fetch = request.as<net::BatchFetchRequest>();
@@ -145,6 +133,8 @@ net::Message ReplicaBase::handle(const net::Message& request) {
     for (const BlockId block : fetch.blocks) {
       auto stored = store_.read(block);
       if (!stored) {
+        // A torn record must not be shipped; demote it so our next vote or
+        // digest offers version 0 and the fetcher goes elsewhere.
         if (stored.status().code() == ErrorCode::kCorruption) {
           store_.demote(block).ignore_error();
         }

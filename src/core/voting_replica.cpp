@@ -11,149 +11,6 @@ VotingReplica::VotingReplica(SiteId self, GroupConfig config,
                              net::Transport& transport)
     : ReplicaBase(self, std::move(config), store, transport) {}
 
-VotingReplica::Votes VotingReplica::collect_votes(net::AccessKind access,
-                                                  BlockId block) {
-  Votes votes;
-  // The local site always votes for itself. A store that died under us
-  // mid-operation votes version 0 — the peers' copies then dominate.
-  auto local = store_.version_of(block);
-  votes.weight_millivotes = config_.weight_of(self_);
-  votes.max_version = local ? local.value() : 0;
-  votes.max_site = self_;
-
-  const net::Message request{self_, net::VoteRequest{access, block}};
-  // Reads stop gathering as soon as the read quorum is assembled: any read
-  // quorum intersects every write quorum, so the newest committed version
-  // is already among the early replies and stragglers add nothing but
-  // latency. Writes keep the full gather — the push that follows repairs
-  // every stale voter it reaches, and shrinking that set would change the
-  // repair propagation the paper's traffic analysis counts.
-  net::EarlyStop early_stop;
-  if (access == net::AccessKind::kRead) {
-    const std::uint64_t self_weight = votes.weight_millivotes;
-    const std::uint64_t quorum = config_.read_quorum_millivotes;
-    early_stop = [self_weight,
-                  quorum](const std::vector<net::GatherReply>& replies) {
-      std::uint64_t weight = self_weight;
-      for (const auto& [site, reply] : replies) {
-        if (!reply.holds<net::VoteReply>()) continue;
-        weight += reply.as<net::VoteReply>().weight_millivotes;
-      }
-      return weight >= quorum;
-    };
-  }
-  votes.replies = transport_.multicast_call(self_, peers(), request,
-                                            early_stop);
-  for (const auto& [site, reply] : votes.replies) {
-    if (!reply.holds<net::VoteReply>()) continue;
-    const auto& vote = reply.as<net::VoteReply>();
-    votes.weight_millivotes += vote.weight_millivotes;
-    if (vote.version > votes.max_version) {
-      votes.max_version = vote.version;
-      votes.max_site = site;
-    }
-  }
-  return votes;
-}
-
-Result<storage::BlockData> VotingReplica::read(BlockId block) {
-  if (state_ == SiteState::kFailed) {
-    return errors::unavailable("site is failed");
-  }
-  if (auto status = store_.version_of(block); !status.is_ok()) {
-    return status.status();  // block id out of range
-  }
-  // Figure 3: collect votes, check the read quorum, refresh the local copy
-  // if a peer presented a higher version, then serve locally.
-  Votes votes = collect_votes(net::AccessKind::kRead, block);
-  if (votes.weight_millivotes < config_.read_quorum_millivotes) {
-    return errors::unavailable(
-        "no read quorum (" + std::to_string(votes.weight_millivotes) + " of " +
-        std::to_string(config_.read_quorum_millivotes) + " millivotes)");
-  }
-  const auto local = store_.version_of(block);
-  if (!local) return local.status();
-  if (local.value() < votes.max_version) {
-    if (auto status = fetch_from(votes.max_site, block); !status.is_ok()) {
-      return status;
-    }
-  }
-  auto stored = store_.read(block);
-  if (!stored && stored.status().code() == ErrorCode::kCorruption) {
-    // The local record turned out torn or corrupt under its cached version
-    // number. Demote it to needs-repair and refresh from the best voter,
-    // exactly as if our copy had merely been out of date. If no voter holds
-    // a newer copy the block legitimately reads back as version 0 zeros —
-    // the media fault destroyed the only copy we could reach.
-    RELDEV_WARN("voting") << "site " << self_ << ": block " << block
-                          << " corrupt locally; healing from quorum";
-    if (auto status = store_.demote(block); !status.is_ok()) return status;
-    storage::VersionNumber best = 0;
-    SiteId source = self_;
-    for (const auto& [site, reply] : votes.replies) {
-      if (!reply.holds<net::VoteReply>()) continue;
-      const auto& vote = reply.as<net::VoteReply>();
-      if (vote.version > best) {
-        best = vote.version;
-        source = site;
-      }
-    }
-    if (source != self_) {
-      if (auto status = fetch_from(source, block); !status.is_ok()) {
-        return status;
-      }
-    }
-    stored = store_.read(block);
-  }
-  if (!stored) return stored.status();
-  return std::move(stored).value().data;
-}
-
-Status VotingReplica::fetch_from(SiteId source, BlockId block) {
-  auto reply = transport_.call(
-      self_, source, net::Message{self_, net::BlockFetchRequest{block}});
-  if (!reply) return reply.status();
-  if (!reply.value().holds<net::BlockFetchReply>()) {
-    return errors::protocol("unexpected reply to block fetch");
-  }
-  const auto& fetched = reply.value().as<net::BlockFetchReply>();
-  return store_.write(block, fetched.data, fetched.version);
-}
-
-Status VotingReplica::write(BlockId block, std::span<const std::byte> data) {
-  if (state_ == SiteState::kFailed) {
-    return errors::unavailable("site is failed");
-  }
-  if (data.size() != config_.block_size) {
-    return errors::invalid_argument("payload size != block size");
-  }
-  if (auto status = store_.version_of(block); !status.is_ok()) {
-    return status.status();
-  }
-  // Figure 4: collect votes, check the write quorum, then push the block
-  // with version max+1 to every site in the quorum — repairing any stale
-  // operational copy as a side effect.
-  Votes votes = collect_votes(net::AccessKind::kWrite, block);
-  if (votes.weight_millivotes < config_.write_quorum_millivotes) {
-    return errors::unavailable(
-        "no write quorum (" + std::to_string(votes.weight_millivotes) +
-        " of " + std::to_string(config_.write_quorum_millivotes) +
-        " millivotes)");
-  }
-  const storage::VersionNumber next = votes.max_version + 1;
-  if (auto status = store_.write(block, data, next); !status.is_ok()) {
-    return status;
-  }
-  SiteSet quorum;
-  for (const auto& [site, reply] : votes.replies) {
-    if (reply.holds<net::VoteReply>()) quorum.insert(site);
-  }
-  net::BlockUpdate update{block, next,
-                          storage::BlockData(data.begin(), data.end())};
-  return transport_.multicast(self_, quorum,
-                              net::Message{self_, std::move(update)});
-}
-
 VotingReplica::RangeVotes VotingReplica::collect_range_votes(
     net::AccessKind access, BlockId first, std::size_t count) {
   RangeVotes votes;
@@ -161,7 +18,8 @@ VotingReplica::RangeVotes VotingReplica::collect_range_votes(
   votes.max_versions.resize(count);
   votes.max_sites.assign(count, self_);
   for (std::size_t i = 0; i < count; ++i) {
-    // As in the scalar round: a store that died under us votes version 0.
+    // The local site always votes for itself. A store that died under us
+    // mid-operation votes version 0 — the peers' copies then dominate.
     auto local = store_.version_of(first + i);
     votes.max_versions[i] = local ? local.value() : 0;
   }
@@ -169,11 +27,13 @@ VotingReplica::RangeVotes VotingReplica::collect_range_votes(
   const net::Message request{
       self_, net::RangeVoteRequest{access, first,
                                    static_cast<std::uint32_t>(count)}};
-  // Same early-stop policy as the scalar round: reads stop at the read
-  // quorum (any read quorum intersects every write quorum, so the newest
-  // committed version of every block in the range is already among the
-  // early replies); writes gather fully so the grouped push repairs every
-  // stale voter.
+  // Reads stop gathering as soon as the read quorum is assembled: any read
+  // quorum intersects every write quorum, so the newest committed version
+  // of every block in the range is already among the early replies and
+  // stragglers add nothing but latency. Writes keep the full gather — the
+  // push that follows repairs every stale voter it reaches, and shrinking
+  // that set would change the repair propagation the paper's traffic
+  // analysis counts.
   net::EarlyStop early_stop;
   if (access == net::AccessKind::kRead) {
     const std::uint64_t self_weight = votes.weight_millivotes;
@@ -205,14 +65,34 @@ VotingReplica::RangeVotes VotingReplica::collect_range_votes(
   return votes;
 }
 
+Status VotingReplica::fetch_newer(SiteId source, std::vector<BlockId> blocks) {
+  auto reply = transport_.call(
+      self_, source,
+      net::Message{self_, net::BatchFetchRequest{std::move(blocks)}});
+  if (!reply) return reply.status();
+  if (!reply.value().holds<net::BatchFetchReply>()) {
+    return errors::protocol("unexpected reply to batch fetch");
+  }
+  for (const auto& update : reply.value().as<net::BatchFetchReply>().updates) {
+    auto current = store_.version_of(update.block);
+    if (!current) return current.status();
+    if (update.version <= current.value()) continue;
+    if (auto status = store_.write(update.block, update.data, update.version);
+        !status.is_ok()) {
+      return status;
+    }
+  }
+  return Status::ok();
+}
+
 Result<storage::BlockData> VotingReplica::read_range(BlockId first,
                                                      std::size_t count) {
   if (state_ == SiteState::kFailed) {
     return errors::unavailable("site is failed");
   }
   if (auto status = check_range(first, count); !status.is_ok()) return status;
-  // Batched Figure 3: ONE vote round for the whole range instead of one per
-  // block, then one grouped fetch per site that holds newer copies.
+  // Figure 3, batched: ONE vote round for the whole range, check the read
+  // quorum, refresh every stale local copy, then serve locally.
   RangeVotes votes = collect_range_votes(net::AccessKind::kRead, first, count);
   if (votes.weight_millivotes < config_.read_quorum_millivotes) {
     return errors::unavailable(
@@ -220,100 +100,107 @@ Result<storage::BlockData> VotingReplica::read_range(BlockId first,
         std::to_string(config_.read_quorum_millivotes) + " millivotes)");
   }
   // Group the stale blocks by the site holding their newest version so the
-  // repair costs one round trip per source site, not one per block.
+  // refresh costs one round trip per source site, not one per block.
   std::map<SiteId, std::vector<BlockId>> stale_by_site;
   for (std::size_t i = 0; i < count; ++i) {
-    const BlockId block = first + i;
-    const auto local = store_.version_of(block);
+    const auto local = store_.version_of(first + i);
     if (!local) return local.status();
     if (local.value() < votes.max_versions[i]) {
-      stale_by_site[votes.max_sites[i]].push_back(block);
+      stale_by_site[votes.max_sites[i]].push_back(first + i);
     }
   }
   for (auto& [site, blocks] : stale_by_site) {
-    auto reply = transport_.call(
-        self_, site,
-        net::Message{self_, net::BatchFetchRequest{std::move(blocks)}});
-    if (!reply) return reply.status();
-    if (!reply.value().holds<net::BatchFetchReply>()) {
-      return errors::protocol("unexpected reply to batch fetch");
-    }
-    for (const auto& update : reply.value().as<net::BatchFetchReply>().updates) {
-      auto current = store_.version_of(update.block);
-      if (!current) return current.status();
-      if (update.version <= current.value()) continue;
-      if (auto status = store_.write(update.block, update.data, update.version);
-          !status.is_ok()) {
-        return status;
-      }
+    if (auto status = fetch_newer(site, std::move(blocks)); !status.is_ok()) {
+      return status;
     }
   }
-  storage::BlockData out;
-  out.reserve(count * config_.block_size);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto stored = store_.read(first + i);
-    if (!stored && stored.status().code() == ErrorCode::kCorruption) {
-      // Rare media-fault path: demote the torn record and re-read the one
-      // block through the scalar protocol, which heals from the best voter.
-      if (auto status = store_.demote(first + i); !status.is_ok()) {
-        return status;
+  // A record found torn or corrupt under its cached version number is
+  // demoted and refreshed from the best peer voter of this same round,
+  // exactly as if our copy had merely been out of date. If no peer holds a
+  // copy the block legitimately reads back as version 0 zeros — the media
+  // fault destroyed the only copy we could reach.
+  return serve_local(first, count, [&](BlockId block) {
+    RELDEV_WARN("voting") << "site " << self_ << ": block " << block
+                          << " corrupt locally; healing from quorum";
+    if (auto status = store_.demote(block); !status.is_ok()) return status;
+    const std::size_t i = block - first;
+    storage::VersionNumber best = 0;
+    SiteId source = self_;
+    for (const auto& [site, reply] : votes.replies) {
+      if (!reply.holds<net::RangeVoteReply>()) continue;
+      const auto& versions = reply.as<net::RangeVoteReply>().versions;
+      if (versions.size() == count && versions[i] > best) {
+        best = versions[i];
+        source = site;
       }
-      auto healed = read(first + i);
-      if (!healed) return healed.status();
-      out.insert(out.end(), healed.value().begin(), healed.value().end());
-      continue;
     }
-    if (!stored) return stored.status();
-    out.insert(out.end(), stored.value().data.begin(),
-               stored.value().data.end());
-  }
-  return out;
+    return source == self_ ? Status::ok() : fetch_newer(source, {block});
+  });
 }
 
-Status VotingReplica::write_range(BlockId first,
-                                  std::span<const std::byte> data) {
+Result<VotingReplica::Push> VotingReplica::vote_and_write_locally(
+    BlockId first, std::span<const std::byte> data) {
   if (state_ == SiteState::kFailed) {
     return errors::unavailable("site is failed");
   }
-  if (data.empty() || data.size() % config_.block_size != 0) {
-    return errors::invalid_argument(
-        "vectored write payload must be a non-empty multiple of the block "
-        "size");
-  }
-  const std::size_t count = data.size() / config_.block_size;
-  if (auto status = check_range(first, count); !status.is_ok()) return status;
-  // Batched Figure 4: one vote round for the whole range. The quorum is
-  // checked BEFORE any local mutation, so losing it fails the batch cleanly
+  auto count = check_write_range(first, data);
+  if (!count) return count.status();
+  // Figure 4, batched: one vote round for the whole range. The quorum is
+  // checked BEFORE any local mutation, so losing it fails the write cleanly
   // with no block written anywhere (atomic-none).
-  RangeVotes votes = collect_range_votes(net::AccessKind::kWrite, first, count);
+  RangeVotes votes =
+      collect_range_votes(net::AccessKind::kWrite, first, count.value());
   if (votes.weight_millivotes < config_.write_quorum_millivotes) {
     return errors::unavailable(
         "no write quorum (" + std::to_string(votes.weight_millivotes) +
         " of " + std::to_string(config_.write_quorum_millivotes) +
         " millivotes)");
   }
-  net::BatchWriteRequest push;
-  push.updates.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  // Every block goes to version max+1 locally and into one grouped push
+  // for every site in the quorum — repairing any stale operational copy as
+  // a side effect.
+  net::BatchWriteRequest request;
+  request.updates.reserve(count.value());
+  for (std::size_t i = 0; i < count.value(); ++i) {
     const storage::VersionNumber next = votes.max_versions[i] + 1;
     const auto slice = data.subspan(i * config_.block_size, config_.block_size);
     if (auto status = store_.write(first + i, slice, next); !status.is_ok()) {
       return status;
     }
-    push.updates.push_back(net::BlockUpdate{
+    request.updates.push_back(net::BlockUpdate{
         first + i, next, storage::BlockData(slice.begin(), slice.end())});
   }
-  SiteSet quorum;
+  Push push{SiteSet{}, net::Message{self_, std::move(request)}};
   for (const auto& [site, reply] : votes.replies) {
-    if (reply.holds<net::RangeVoteReply>()) quorum.insert(site);
+    if (reply.holds<net::RangeVoteReply>()) push.quorum.insert(site);
   }
-  // One grouped push carries every update; a recipient applies the whole
-  // batch in one message, so no reader on any site can observe a torn
-  // multi-block write. The push is acknowledged so a site crashing between
-  // the vote round and the push is detected: if the surviving acks no
-  // longer cover a write quorum, the caller gets kUnavailable and retries.
-  auto acks = transport_.multicast_call(
-      self_, quorum, net::Message{self_, std::move(push)}, net::EarlyStop{});
+  return push;
+}
+
+Status VotingReplica::write(BlockId block, std::span<const std::byte> data) {
+  if (data.size() != config_.block_size) {
+    return errors::invalid_argument("payload size != block size");
+  }
+  auto push = vote_and_write_locally(block, data);
+  if (!push) return push.status();
+  // Figure 4's push: one unacknowledged multicast to the quorum, so a
+  // write costs exactly the n + 1 transmissions §5 counts.
+  return transport_.multicast(self_, push.value().quorum,
+                              push.value().message);
+}
+
+Status VotingReplica::write_range(BlockId first,
+                                  std::span<const std::byte> data) {
+  auto push = vote_and_write_locally(first, data);
+  if (!push) return push.status();
+  // The grouped push is acknowledged so a site crashing between the vote
+  // round and the push is detected: if the surviving acks no longer cover
+  // a write quorum, the caller gets kUnavailable and retries instead of an
+  // ack for a batch few sites hold. A recipient applies the whole batch in
+  // one message, so no reader on any site can observe a torn range.
+  auto acks = transport_.multicast_call(self_, push.value().quorum,
+                                        push.value().message,
+                                        net::EarlyStop{});
   std::uint64_t acked_weight = config_.weight_of(self_);
   for (const auto& [site, reply] : acks) {
     if (reply.holds<net::WriteAllAck>()) {
@@ -347,18 +234,9 @@ Status VotingReplica::recover() {
   return Status::ok();
 }
 
-void VotingReplica::crash() { ReplicaBase::crash(); }
-
 net::Message VotingReplica::handle_peer(const net::Message& request) {
-  if (request.holds<net::VoteRequest>()) {
-    const auto& vote = request.as<net::VoteRequest>();
-    auto version = store_.version_of(vote.block);
-    if (!version) return net::make_error(self_, version.status());
-    return net::Message{
-        self_, net::VoteReply{version.value(), config_.weight_of(self_)}};
-  }
-  // BlockFetchRequest and BatchFetchRequest are served scheme-independently
-  // by ReplicaBase::handle (the scrubber fetches from any engine).
+  // BatchFetchRequest is served scheme-independently by
+  // ReplicaBase::handle (the scrubber fetches from any engine).
   if (request.holds<net::RangeVoteRequest>()) {
     const auto& vote = request.as<net::RangeVoteRequest>();
     if (auto status = check_range(vote.first, vote.count); !status.is_ok()) {
@@ -379,17 +257,11 @@ net::Message VotingReplica::handle_peer(const net::Message& request) {
         self_, net::StateInfo{state_, local_versions().total(), SiteSet{}}};
   }
   if (request.holds<net::BatchWriteRequest>()) {
-    // Same reasoning as the scalar BlockUpdate below: answer the call form
-    // so request/reply-only transports keep the effective write quorum.
-    handle_peer_oneway(request);
-    return net::Message{self_, net::WriteAllAck{}};
-  }
-  if (request.holds<net::BlockUpdate>()) {
-    // The post-write block push is normally one-way; answering the call
-    // form keeps the engine usable over request/reply-only transports such
-    // as TCP. Dropping it there would shrink the effective write quorum to
-    // the coordinator alone and break the read-quorum intersection that
-    // early-stopped reads rely on.
+    // write()'s push is one-way; answering the call form keeps the engine
+    // usable over request/reply-only transports such as TCP, and it is the
+    // ack write_range() counts. Dropping it there would shrink the
+    // effective write quorum to the coordinator alone and break the
+    // read-quorum intersection that early-stopped reads rely on.
     handle_peer_oneway(request);
     return net::Message{self_, net::WriteAllAck{}};
   }
@@ -408,15 +280,6 @@ void VotingReplica::handle_peer_oneway(const net::Message& message) {
       if (update.version > current.value()) {
         store_.write(update.block, update.data, update.version).ignore_error();
       }
-    }
-    return;
-  }
-  if (message.holds<net::BlockUpdate>()) {
-    const auto& update = message.as<net::BlockUpdate>();
-    auto current = store_.version_of(update.block);
-    if (!current) return;
-    if (update.version > current.value()) {
-      store_.write(update.block, update.data, update.version).ignore_error();
     }
     return;
   }

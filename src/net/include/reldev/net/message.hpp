@@ -35,52 +35,61 @@ const char* site_state_name(SiteState state) noexcept;
 /// Whether a quorum is being collected for a read or a write (voting).
 enum class AccessKind : std::uint8_t { kRead = 0, kWrite = 1 };
 
-// --- voting (Figures 3 and 4) ---------------------------------------------
+// --- block access (Figures 3-6) ---------------------------------------------
+// Every engine reads and writes block ranges; a single-block operation is a
+// range of one. §5's cost metric counts high-level transmissions, and a
+// grouped message is still a single transmission.
 
-/// Broadcast by the coordinator to collect votes for one block access.
-struct VoteRequest {
-  AccessKind access;
-  BlockId block;
-};
-
-/// One site's vote: its version of the block and its assigned weight
-/// (weights are fixed-point millivotes so ties can be broken by a small
-/// perturbation, as §4.1 prescribes).
-struct VoteReply {
-  VersionNumber version;
-  std::uint32_t weight_millivotes;
-};
-
-/// Fetch the payload of a block from the site holding the newest copy.
-struct BlockFetchRequest {
-  BlockId block;
-};
-struct BlockFetchReply {
-  VersionNumber version;
-  BlockData data;
-};
-
-/// Voting write push: the new payload and incremented version, sent to
-/// every site in the quorum (repairs operational stale copies en passant).
+/// One block's payload at a version: the element of every grouped block
+/// transfer (write pushes, fetch replies, repair replies).
 struct BlockUpdate {
   BlockId block;
   VersionNumber version;
   BlockData data;
 };
 
-// --- available copy / naive available copy (Figures 5 and 6) --------------
+/// Voting: broadcast by the coordinator to collect votes for an access to
+/// blocks [first, first + count).
+struct RangeVoteRequest {
+  AccessKind access;
+  BlockId first;
+  std::uint32_t count;
+};
+/// One site's vote: its assigned weight (fixed-point millivotes so ties
+/// can be broken by a small perturbation, as §4.1 prescribes) and its
+/// version of every block in the range, parallel to the range.
+struct RangeVoteReply {
+  std::uint32_t weight_millivotes;
+  std::vector<VersionNumber> versions;
+};
 
-/// Write-all push. Under AC each recipient acknowledges (the coordinator
-/// learns the new was-available set from the ack set); under NAC no ack is
-/// expected. `was_available` carries the coordinator's W so recipients can
-/// adopt it (empty under NAC).
-struct WriteAllRequest {
-  BlockId block;
-  VersionNumber version;
-  BlockData data;
+/// Fetch several (not necessarily consecutive) blocks from one site in one
+/// round trip: voting's refresh of stale or corrupt local copies, and the
+/// scrubber's heal of stale ones.
+struct BatchFetchRequest {
+  std::vector<BlockId> blocks;
+};
+struct BatchFetchReply {
+  std::vector<BlockUpdate> updates;
+};
+
+/// Grouped write push: every update in one message, applied together by
+/// the recipient (a site receives the whole batch or none of it — no torn
+/// multi-block writes). Voting sends it to the write quorum (repairing
+/// operational stale copies en passant), the available-copy schemes to
+/// every peer. `was_available` carries AC's W so recipients can adopt it;
+/// voting and NAC send it empty.
+struct BatchWriteRequest {
+  std::vector<BlockUpdate> updates;
   SiteSet was_available;
 };
+/// Acknowledges a BatchWriteRequest. Under AC the ack set becomes the
+/// coordinator's new was-available set; voting's range write counts acked
+/// weight. One-way pushes (voting's write(), NAC) get one only when a
+/// request/reply-only transport such as TCP carries them as calls.
 struct WriteAllAck {};
+
+// --- recovery (Figures 5 and 6) --------------------------------------------
 
 /// Recovery step 1: a repairing site asks everyone who is out there.
 struct StateInquiry {};
@@ -149,11 +158,9 @@ struct ErrorReply {
   std::string message;
 };
 
-// --- vectored block I/O (batched multi-block operations) -------------------
+// --- vectored client I/O (batched multi-block operations) ------------------
 // One message per *batch* instead of one per block, so a k-block file read
-// or write costs one client round trip and one quorum round. §5's cost
-// metric counts high-level transmissions, and a batched message is still a
-// single transmission — batching strictly reduces counted traffic.
+// or write costs one client round trip and one quorum round.
 
 /// Client read of blocks [first, first + count).
 struct MultiBlockReadRequest {
@@ -173,38 +180,6 @@ struct MultiBlockWriteRequest {
 };
 struct MultiBlockWriteAck {
   std::uint8_t error_code;
-};
-
-/// One vote collection covering a whole block range (the batched form of
-/// VoteRequest): the reply carries the responder's version of every block
-/// in [first, first + count), parallel to the range.
-struct RangeVoteRequest {
-  AccessKind access;
-  BlockId first;
-  std::uint32_t count;
-};
-struct RangeVoteReply {
-  std::uint32_t weight_millivotes;
-  std::vector<VersionNumber> versions;
-};
-
-/// Fetch several (not necessarily consecutive) blocks from one site in one
-/// round trip — the batched read repair of stale local copies.
-struct BatchFetchRequest {
-  std::vector<BlockId> blocks;
-};
-struct BatchFetchReply {
-  std::vector<BlockUpdate> updates;
-};
-
-/// Grouped write push: every update in one message, applied together by
-/// the recipient (a site receives the whole batch or none of it — no torn
-/// multi-block writes). Voting's post-quorum push and NAC's write-all send
-/// an empty `was_available`; AC carries the coordinator's W exactly as the
-/// scalar WriteAllRequest does. Acknowledged with WriteAllAck.
-struct BatchWriteRequest {
-  std::vector<BlockUpdate> updates;
-  SiteSet was_available;
 };
 
 // --- anti-entropy digest exchange (background scrubber) --------------------
@@ -230,10 +205,9 @@ struct DigestReply {
 };
 
 using Payload =
-    std::variant<VoteRequest, VoteReply, BlockFetchRequest, BlockFetchReply,
-                 BlockUpdate, WriteAllRequest, WriteAllAck, StateInquiry,
-                 StateInfo, RepairRequest, RepairReply, WasAvailableUpdate,
-                 WasAvailableAck, ClientReadRequest, ClientReadReply,
+    std::variant<WriteAllAck, StateInquiry, StateInfo, RepairRequest,
+                 RepairReply, WasAvailableUpdate, WasAvailableAck,
+                 ClientReadRequest, ClientReadReply,
                  ClientWriteRequest, ClientWriteReply, DeviceInfoRequest,
                  DeviceInfoReply, ErrorReply, MultiBlockReadRequest,
                  MultiBlockReadReply, MultiBlockWriteRequest, MultiBlockWriteAck,
@@ -246,7 +220,7 @@ struct Message {
   SiteId from = 0;
   Payload payload;
 
-  /// Human-readable payload name for logs ("vote-request", ...).
+  /// Human-readable payload name for logs ("range-vote-request", ...).
   [[nodiscard]] const char* name() const noexcept;
 
   /// Convenience accessors; contract violation if the payload is another

@@ -8,16 +8,12 @@ namespace reldev::net {
 
 namespace {
 
-// Wire tags; order matches the Payload variant and must never be reordered
-// once released (append only).
+// Wire tags; never renumbered once released (append only). Tags 0-5
+// belonged to the retired single-block messages (vote request/reply,
+// block fetch request/reply, block update, write-all request); they stay
+// reserved and decode as kProtocol.
 enum class Tag : std::uint8_t {
-  kVoteRequest = 0,
-  kVoteReply,
-  kBlockFetchRequest,
-  kBlockFetchReply,
-  kBlockUpdate,
-  kWriteAllRequest,
-  kWriteAllAck,
+  kWriteAllAck = 6,
   kStateInquiry,
   kStateInfo,
   kRepairRequest,
@@ -86,36 +82,6 @@ Result<BlockUpdate> get_block_update(BufferReader& r) {
 struct Encoder {
   BufferWriter& w;
 
-  void operator()(const VoteRequest& m) const {
-    w.put_u8(static_cast<std::uint8_t>(Tag::kVoteRequest));
-    w.put_u8(static_cast<std::uint8_t>(m.access));
-    w.put_u64(m.block);
-  }
-  void operator()(const VoteReply& m) const {
-    w.put_u8(static_cast<std::uint8_t>(Tag::kVoteReply));
-    w.put_u64(m.version);
-    w.put_u32(m.weight_millivotes);
-  }
-  void operator()(const BlockFetchRequest& m) const {
-    w.put_u8(static_cast<std::uint8_t>(Tag::kBlockFetchRequest));
-    w.put_u64(m.block);
-  }
-  void operator()(const BlockFetchReply& m) const {
-    w.put_u8(static_cast<std::uint8_t>(Tag::kBlockFetchReply));
-    w.put_u64(m.version);
-    put_block_data(w, m.data);
-  }
-  void operator()(const BlockUpdate& m) const {
-    w.put_u8(static_cast<std::uint8_t>(Tag::kBlockUpdate));
-    put_block_update(w, m);
-  }
-  void operator()(const WriteAllRequest& m) const {
-    w.put_u8(static_cast<std::uint8_t>(Tag::kWriteAllRequest));
-    w.put_u64(m.block);
-    w.put_u64(m.version);
-    put_block_data(w, m.data);
-    put_site_set(w, m.was_available);
-  }
   void operator()(const WriteAllAck&) const {
     w.put_u8(static_cast<std::uint8_t>(Tag::kWriteAllAck));
   }
@@ -236,60 +202,8 @@ struct Encoder {
   }
 };
 
-template <typename T>
-Result<Payload> ok_payload(Result<T> r) {
-  if (!r) return r.status();
-  return Payload{std::move(r).value()};
-}
-
 Result<Payload> decode_payload(Tag tag, BufferReader& r) {
   switch (tag) {
-    case Tag::kVoteRequest: {
-      auto access = r.get_u8();
-      if (!access) return access.status();
-      if (access.value() > 1) return errors::protocol("bad access kind");
-      auto block = r.get_u64();
-      if (!block) return block.status();
-      return Payload{
-          VoteRequest{static_cast<AccessKind>(access.value()), block.value()}};
-    }
-    case Tag::kVoteReply: {
-      auto version = r.get_u64();
-      if (!version) return version.status();
-      auto weight = r.get_u32();
-      if (!weight) return weight.status();
-      return Payload{VoteReply{version.value(), weight.value()}};
-    }
-    case Tag::kBlockFetchRequest: {
-      auto block = r.get_u64();
-      if (!block) return block.status();
-      return Payload{BlockFetchRequest{block.value()}};
-    }
-    case Tag::kBlockFetchReply: {
-      auto version = r.get_u64();
-      if (!version) return version.status();
-      auto data = get_block_data(r);
-      if (!data) return data.status();
-      return Payload{BlockFetchReply{version.value(), std::move(data).value()}};
-    }
-    case Tag::kBlockUpdate:
-      return ok_payload(get_block_update(r));
-    case Tag::kWriteAllRequest: {
-      WriteAllRequest m;
-      auto block = r.get_u64();
-      if (!block) return block.status();
-      m.block = block.value();
-      auto version = r.get_u64();
-      if (!version) return version.status();
-      m.version = version.value();
-      auto data = get_block_data(r);
-      if (!data) return data.status();
-      m.data = std::move(data).value();
-      auto set = get_site_set(r);
-      if (!set) return set.status();
-      m.was_available = std::move(set).value();
-      return Payload{std::move(m)};
-    }
     case Tag::kWriteAllAck:
       return Payload{WriteAllAck{}};
     case Tag::kStateInquiry:
@@ -503,18 +417,6 @@ const char* site_state_name(SiteState state) noexcept {
 
 const char* Message::name() const noexcept {
   struct Namer {
-    const char* operator()(const VoteRequest&) const { return "vote-request"; }
-    const char* operator()(const VoteReply&) const { return "vote-reply"; }
-    const char* operator()(const BlockFetchRequest&) const {
-      return "block-fetch-request";
-    }
-    const char* operator()(const BlockFetchReply&) const {
-      return "block-fetch-reply";
-    }
-    const char* operator()(const BlockUpdate&) const { return "block-update"; }
-    const char* operator()(const WriteAllRequest&) const {
-      return "write-all-request";
-    }
     const char* operator()(const WriteAllAck&) const { return "write-all-ack"; }
     const char* operator()(const StateInquiry&) const { return "state-inquiry"; }
     const char* operator()(const StateInfo&) const { return "state-info"; }
@@ -595,7 +497,8 @@ Result<Message> Message::decode(std::span<const std::byte> raw) {
   if (!from) return from.status();
   auto tag = reader.get_u8();
   if (!tag) return tag.status();
-  if (tag.value() > static_cast<std::uint8_t>(Tag::kDigestReply)) {
+  if (tag.value() < static_cast<std::uint8_t>(Tag::kWriteAllAck) ||
+      tag.value() > static_cast<std::uint8_t>(Tag::kDigestReply)) {
     return errors::protocol("unknown message tag " +
                             std::to_string(tag.value()));
   }

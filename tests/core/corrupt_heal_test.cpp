@@ -93,9 +93,16 @@ TEST_P(CorruptHealTest, VectoredReadHealsCorruptBlockInRange) {
   }
   ASSERT_TRUE(group_->write_range(0, 2, range).is_ok());
   rot_block(0, 4);  // inside the [2, 6) range
+  group_->meter().reset();
   auto data = group_->read_range(0, 2, 4);
   ASSERT_TRUE(data.is_ok()) << data.status().to_string();
   EXPECT_EQ(data.value(), range);
+  if (GetParam() == SchemeKind::kVoting) {
+    // The heal rides on the range's own votes: one range vote round
+    // (1 query + 2 replies) plus one fetch of the corrupt block from its
+    // best peer voter (request + reply) — no second vote round.
+    EXPECT_EQ(group_->meter().total(), 5u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

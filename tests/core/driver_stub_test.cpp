@@ -97,6 +97,34 @@ TEST_F(DriverStubTest, WrongPayloadSizeRejectedClientSide) {
             reldev::ErrorCode::kInvalidArgument);
 }
 
+// Answers every client read with a 10-byte payload and kOk — a server
+// speaking the protocol wrongly.
+class ShortReadTransport final : public net::Transport {
+ public:
+  using net::Transport::multicast_call;
+
+  Result<net::Message> call(SiteId, SiteId to, const net::Message&) override {
+    return net::Message{to, net::ClientReadReply{0, payload(10, 1)}};
+  }
+  Status send(SiteId, SiteId, const net::Message&) override {
+    return Status::ok();
+  }
+  Status multicast(SiteId, const net::SiteSet&, const net::Message&) override {
+    return Status::ok();
+  }
+  std::vector<net::GatherReply> multicast_call(
+      SiteId, const net::SiteSet&, const net::Message&,
+      const net::EarlyStop&) override {
+    return {};
+  }
+};
+
+TEST(DriverStubReplyTest, ShortReadReplyIsAProtocolError) {
+  ShortReadTransport transport;
+  DriverStub stub(transport, kClientId, {0}, 8, 64);
+  EXPECT_EQ(stub.read_block(0).status().code(), reldev::ErrorCode::kProtocol);
+}
+
 TEST_F(DriverStubTest, ServerSideErrorsPropagate) {
   auto stub =
       DriverStub::connect(group_.transport(), kClientId, {0}).value();

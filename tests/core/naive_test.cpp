@@ -139,7 +139,8 @@ TEST_F(NaiveTest, ComatoseCopyIgnoresWritePushes) {
   // the defensive path directly: a push delivered to a comatose site is
   // dropped.
   group_.replica(2).handle_oneway(net::Message{
-      0, net::WriteAllRequest{0, 99, payload(64, 9), {}}});
+      0, net::BatchWriteRequest{{net::BlockUpdate{0, 99, payload(64, 9)}},
+                                {}}});
   EXPECT_EQ(group_.store(2).version_of(0).value(), 0u);
 }
 
@@ -148,7 +149,8 @@ TEST_F(NaiveTest, StalePushIsIgnored) {
   ASSERT_TRUE(group_.write(0, 0, payload(64, 2)).is_ok());
   // A delayed duplicate of the first push must not regress the block.
   group_.replica(1).handle_oneway(net::Message{
-      0, net::WriteAllRequest{0, 1, payload(64, 1), {}}});
+      0, net::BatchWriteRequest{{net::BlockUpdate{0, 1, payload(64, 1)}},
+                                {}}});
   EXPECT_EQ(group_.store(1).version_of(0).value(), 2u);
   EXPECT_EQ(group_.store(1).read(0).value().data, payload(64, 2));
 }

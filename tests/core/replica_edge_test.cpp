@@ -20,14 +20,15 @@ class ReplicaEdgeTest : public ::testing::TestWithParam<SchemeKind> {
 };
 
 TEST_P(ReplicaEdgeTest, UnexpectedPeerRequestGetsErrorReply) {
-  // A VoteRequest is only meaningful under voting, and a WasAvailableUpdate
-  // only under available-copy; the wrong one must yield a protocol error,
-  // never a crash. (Fetch requests are deliberately absent here: the scrub
+  // A RangeVoteRequest is only meaningful under voting, and a
+  // WasAvailableUpdate only under available-copy; the wrong one must yield
+  // a protocol error, never a crash. (Fetch requests are deliberately absent here: the scrub
   // path serves them scheme-independently.)
   net::Message request =
       GetParam() == SchemeKind::kVoting
           ? net::Message{1, net::WasAvailableUpdate{{}, false}}
-          : net::Message{1, net::VoteRequest{net::AccessKind::kRead, 0}};
+          : net::Message{
+                1, net::RangeVoteRequest{net::AccessKind::kRead, 0, 1}};
   const auto reply = group_.replica(0).handle(request);
   ASSERT_TRUE(reply.holds<net::ErrorReply>());
   EXPECT_EQ(reply.as<net::ErrorReply>().error_code,
@@ -43,7 +44,8 @@ TEST_P(ReplicaEdgeTest, FailedReplicaRefusesEverything) {
             static_cast<std::uint8_t>(reldev::ErrorCode::kUnavailable));
   // One-way messages are dropped silently.
   group_.replica(0).handle_oneway(
-      net::Message{1, net::WriteAllRequest{0, 5, payload(64, 1), {}}});
+      net::Message{1, net::BatchWriteRequest{
+                          {net::BlockUpdate{0, 5, payload(64, 1)}}, {}}});
   // (state unchanged: still failed, no data applied)
   EXPECT_EQ(group_.replica(0).state(), SiteState::kFailed);
   EXPECT_EQ(group_.store(0).version_of(0).value(), 0u);

@@ -16,10 +16,11 @@ std::vector<Message> sample_messages() {
   vv.set(2, 9);
   BlockData data(64, std::byte{0x7e});
   std::vector<Message> samples;
-  samples.push_back({0, VoteRequest{AccessKind::kRead, 1}});
-  samples.push_back({1, VoteReply{7, 1000}});
-  samples.push_back({2, BlockFetchReply{3, data}});
-  samples.push_back({3, WriteAllRequest{1, 2, data, SiteSet{0, 1}}});
+  samples.push_back({0, RangeVoteRequest{AccessKind::kRead, 1, 1}});
+  samples.push_back({1, RangeVoteReply{1000, {7}}});
+  samples.push_back({2, BatchFetchReply{{BlockUpdate{3, 3, data}}}});
+  samples.push_back(
+      {3, BatchWriteRequest{{BlockUpdate{1, 2, data}}, SiteSet{0, 1}}});
   samples.push_back({4, StateInfo{SiteState::kComatose, 42, SiteSet{2}}});
   samples.push_back({5, RepairRequest{vv}});
   samples.push_back(
