@@ -17,8 +17,8 @@
 
 #include "reldev/core/driver_stub.hpp"
 #include "reldev/core/group.hpp"
+#include "reldev/core/site.hpp"
 #include "reldev/net/tcp/tcp_client.hpp"
-#include "reldev/net/tcp/tcp_server.hpp"
 #include "reldev/util/flags.hpp"
 #include "reldev/util/table.hpp"
 
@@ -123,30 +123,25 @@ void bench_device(const std::string& transport_name, core::BlockDevice& device,
   }
 }
 
-/// Three voting replicas behind real TCP servers plus a driver stub client
+/// Three voting sites behind real TCP servers plus a driver stub client
 /// on the same wire — the full Figure 1/2 deployment shape.
 struct TcpFixture {
-  TcpFixture() : config(core::GroupConfig::majority(kSites, kBlocks, kBlockSize)) {
+  TcpFixture() {
     transport.set_traffic_meter(&meter);
+    const auto config = core::GroupConfig::majority(kSites, kBlocks, kBlockSize);
     for (storage::SiteId site = 0; site < kSites; ++site) {
-      stores.push_back(
-          std::make_unique<storage::MemBlockStore>(kBlocks, kBlockSize));
-      replicas.push_back(std::make_unique<core::VotingReplica>(
-          site, config, *stores.back(), transport));
-    }
-    for (storage::SiteId site = 0; site < kSites; ++site) {
-      servers.push_back(
-          net::tcp::TcpServer::start(0, replicas[site].get()).value());
-      transport.set_endpoint(site, "127.0.0.1", servers.back()->port());
+      core::SiteOptions options;
+      options.scheme = core::SchemeKind::kVoting;
+      options.listen_port = 0;
+      sites.push_back(
+          core::Site::open(site, config, transport, options).value());
+      transport.set_endpoint(site, "127.0.0.1", sites.back()->port());
     }
   }
 
-  core::GroupConfig config;
   net::TrafficMeter meter;
   net::tcp::TcpPeerTransport transport;
-  std::vector<std::unique_ptr<storage::MemBlockStore>> stores;
-  std::vector<std::unique_ptr<core::VotingReplica>> replicas;
-  std::vector<std::unique_ptr<net::tcp::TcpServer>> servers;
+  std::vector<std::unique_ptr<core::Site>> sites;
 };
 
 }  // namespace

@@ -8,10 +8,9 @@
 #include <cstdio>
 
 #include "reldev/core/group.hpp"
-#include "reldev/core/voting_replica.hpp"
+#include "reldev/core/site.hpp"
 #include "reldev/fs/minifs.hpp"
 #include "reldev/net/tcp/tcp_client.hpp"
-#include "reldev/net/tcp/tcp_server.hpp"
 #include "reldev/storage/file_block_store.hpp"
 #include "reldev/storage/mem_block_store.hpp"
 
@@ -147,29 +146,23 @@ BENCHMARK(BM_AcFullRecovery);
 // RTT, not the sum of all of them).
 class TcpVotingGroup {
  public:
-  explicit TcpVotingGroup(std::size_t sites)
-      : config_(core::GroupConfig::majority(sites, kBlocks, kBlockSize)) {
+  explicit TcpVotingGroup(std::size_t sites) {
+    const auto config = core::GroupConfig::majority(sites, kBlocks, kBlockSize);
     for (storage::SiteId site = 0; site < sites; ++site) {
-      stores_.push_back(
-          std::make_unique<storage::MemBlockStore>(kBlocks, kBlockSize));
-      replicas_.push_back(std::make_unique<core::VotingReplica>(
-          site, config_, *stores_.back(), transport_));
-    }
-    for (storage::SiteId site = 0; site < sites; ++site) {
-      servers_.push_back(
-          net::tcp::TcpServer::start(0, replicas_[site].get()).value());
-      transport_.set_endpoint(site, "127.0.0.1", servers_.back()->port());
+      core::SiteOptions options;
+      options.scheme = core::SchemeKind::kVoting;
+      options.listen_port = 0;
+      sites_.push_back(
+          core::Site::open(site, config, transport_, options).value());
+      transport_.set_endpoint(site, "127.0.0.1", sites_.back()->port());
     }
   }
 
-  core::VotingReplica& coordinator() { return *replicas_[0]; }
+  core::ReplicaBase& coordinator() { return sites_[0]->replica(); }
 
  private:
-  core::GroupConfig config_;
   net::tcp::TcpPeerTransport transport_;
-  std::vector<std::unique_ptr<storage::MemBlockStore>> stores_;
-  std::vector<std::unique_ptr<core::VotingReplica>> replicas_;
-  std::vector<std::unique_ptr<net::tcp::TcpServer>> servers_;
+  std::vector<std::unique_ptr<core::Site>> sites_;
 };
 
 void BM_TcpDeviceWrite(benchmark::State& state) {

@@ -19,28 +19,6 @@ namespace {
 
 constexpr storage::SiteId kClientId = 1000;
 
-Result<std::vector<std::pair<std::string, std::uint16_t>>> parse_servers(
-    const std::string& text) {
-  std::vector<std::pair<std::string, std::uint16_t>> servers;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const auto comma = text.find(',', start);
-    const std::string item = text.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    const auto colon = item.rfind(':');
-    if (colon == std::string::npos) {
-      return errors::invalid_argument("server '" + item + "' not host:port");
-    }
-    servers.emplace_back(item.substr(0, colon),
-                         static_cast<std::uint16_t>(
-                             std::stoi(item.substr(colon + 1))));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  if (servers.empty()) return errors::invalid_argument("no servers");
-  return servers;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -61,17 +39,17 @@ int main(int argc, char** argv) {
     return flags.help_requested() ? 0 : 1;
   }
 
-  auto servers = parse_servers(flags.get_string("servers"));
+  auto servers = net::tcp::parse_endpoints(flags.get_string("servers"));
   if (!servers) {
-    std::cerr << servers.status().to_string() << '\n';
+    std::cerr << "--servers: " << servers.status().to_string() << '\n';
     return 1;
   }
   net::tcp::TcpPeerTransport transport;
   std::vector<storage::SiteId> ids;
   for (std::size_t i = 0; i < servers.value().size(); ++i) {
     const auto id = static_cast<storage::SiteId>(i);
-    transport.set_endpoint(id, servers.value()[i].first,
-                           servers.value()[i].second);
+    transport.set_endpoint(id, servers.value()[i].host,
+                           servers.value()[i].port);
     ids.push_back(id);
   }
   auto stub = core::DriverStub::connect(transport, kClientId, ids);

@@ -23,14 +23,6 @@ std::string to_text(const storage::BlockData& data) {
   return text.substr(0, text.find('\0'));
 }
 
-core::SchemeKind parse_scheme(const std::string& name) {
-  if (name == "voting") return core::SchemeKind::kVoting;
-  if (name == "naive-available-copy") {
-    return core::SchemeKind::kNaiveAvailableCopy;
-  }
-  return core::SchemeKind::kAvailableCopy;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -47,7 +39,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto scheme = parse_scheme(flags.get_string("scheme"));
+  const auto parsed = core::scheme_kind_from_name(flags.get_string("scheme"));
+  if (!parsed) {
+    std::cerr << parsed.status().to_string() << '\n';
+    return 1;
+  }
+  const auto scheme = parsed.value();
   std::cout << "Reliable device quickstart — scheme: "
             << core::scheme_kind_name(scheme) << "\n\n";
 

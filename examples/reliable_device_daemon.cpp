@@ -11,19 +11,16 @@
 // The peer list is positional: entry i is site i's address. The store file
 // persists blocks, versions, and the was-available set across restarts;
 // after a restart the daemon runs the scheme's recovery protocol against
-// its peers before serving.
+// its peers before serving. A store file that exists but cannot be opened
+// (a corrupt header, an I/O error, another geometry) is fatal: the daemon
+// exits non-zero and leaves the file as it is. Delete the file to start
+// the site fresh.
 #include <algorithm>
 #include <csignal>
 #include <iostream>
-#include <memory>
 
-#include "reldev/core/available_copy_replica.hpp"
-#include "reldev/core/naive_replica.hpp"
-#include "reldev/core/scrub_daemon.hpp"
-#include "reldev/core/voting_replica.hpp"
+#include "reldev/core/site.hpp"
 #include "reldev/net/tcp/tcp_client.hpp"
-#include "reldev/net/tcp/tcp_server.hpp"
-#include "reldev/storage/file_block_store.hpp"
 #include "reldev/util/flags.hpp"
 #include "reldev/util/logging.hpp"
 
@@ -34,35 +31,9 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void handle_signal(int) { g_stop = 1; }
 
-struct Endpoint {
-  std::string host;
-  std::uint16_t port;
-};
-
-Result<std::vector<Endpoint>> parse_peers(const std::string& text) {
-  std::vector<Endpoint> peers;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const auto comma = text.find(',', start);
-    const std::string item = text.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    const auto colon = item.rfind(':');
-    if (colon == std::string::npos) {
-      return errors::invalid_argument("peer '" + item + "' is not host:port");
-    }
-    try {
-      const int port = std::stoi(item.substr(colon + 1));
-      if (port <= 0 || port > 65535) throw std::out_of_range("port");
-      peers.push_back(
-          Endpoint{item.substr(0, colon), static_cast<std::uint16_t>(port)});
-    } catch (const std::exception&) {
-      return errors::invalid_argument("bad port in peer '" + item + "'");
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  if (peers.empty()) return errors::invalid_argument("empty peer list");
-  return peers;
+void sleep_ms(long ms) {
+  struct timespec delay{ms / 1000, (ms % 1000) * 1000 * 1000};
+  nanosleep(&delay, nullptr);
 }
 
 }  // namespace
@@ -99,130 +70,102 @@ int main(int argc, char** argv) {
     Logger::instance().set_level(LogLevel::kDebug);
   }
 
-  auto peers = parse_peers(flags.get_string("peers"));
+  // Installed first, so a SIGTERM during recovery stops the daemon too.
+  std::signal(SIGINT, handle_signal);
+  std::signal(SIGTERM, handle_signal);
+
+  auto peers = net::tcp::parse_endpoints(flags.get_string("peers"));
   if (!peers) {
-    std::cerr << peers.status().to_string() << '\n';
+    std::cerr << "--peers: " << peers.status().to_string() << '\n';
     return 1;
   }
-  const auto site = static_cast<storage::SiteId>(flags.get_int("site"));
+  auto scheme = core::scheme_kind_from_name(flags.get_string("scheme"));
+  if (!scheme) {
+    std::cerr << "--scheme: " << scheme.status().to_string() << '\n';
+    return 1;
+  }
+  const auto site_id = static_cast<storage::SiteId>(flags.get_int("site"));
   const auto n = peers.value().size();
-  if (site >= n) {
+  if (site_id >= n) {
     std::cerr << "--site out of range for --peers\n";
     return 1;
   }
-  const auto blocks = static_cast<std::size_t>(flags.get_int("blocks"));
-  const auto block_size = static_cast<std::size_t>(flags.get_int("block-size"));
 
-  // Open or create the persistent store.
-  std::string store_path = flags.get_string("store");
-  if (store_path.empty()) {
-    store_path = "/tmp/reldev_site" + std::to_string(site) + ".rdev";
-  }
-  std::unique_ptr<storage::FileBlockStore> store;
-  bool fresh = false;
-  if (auto opened = storage::FileBlockStore::open(store_path); opened) {
-    store = std::move(opened).value();
-    if (store->block_count() != blocks || store->block_size() != block_size) {
-      std::cerr << "store geometry mismatch: " << store_path << '\n';
-      return 1;
-    }
-  } else {
-    auto created = storage::FileBlockStore::create(store_path, blocks,
-                                                   block_size);
-    if (!created) {
-      std::cerr << created.status().to_string() << '\n';
-      return 1;
-    }
-    store = std::move(created).value();
-    fresh = true;
-  }
-
-  // Wire up the peer transport.
   net::tcp::TcpPeerTransport transport;
   transport.set_call_timeout(
       std::chrono::milliseconds(flags.get_int("call-timeout-ms")));
   for (storage::SiteId peer = 0; peer < n; ++peer) {
-    if (peer == site) continue;
+    if (peer == site_id) continue;
     transport.set_endpoint(peer, peers.value()[peer].host,
                            peers.value()[peer].port);
   }
 
-  const auto config = core::GroupConfig::majority(n, blocks, block_size);
-  std::unique_ptr<core::ReplicaBase> replica;
-  const std::string scheme = flags.get_string("scheme");
-  if (scheme == "voting") {
-    replica = std::make_unique<core::VotingReplica>(site, config, *store,
-                                                    transport);
-  } else if (scheme == "naive-available-copy") {
-    replica = std::make_unique<core::NaiveAvailableCopyReplica>(
-        site, config, *store, transport);
-  } else if (scheme == "available-copy") {
-    replica = std::make_unique<core::AvailableCopyReplica>(site, config,
-                                                           *store, transport);
-  } else {
-    std::cerr << "unknown scheme '" << scheme << "'\n";
+  core::SiteOptions options;
+  options.scheme = scheme.value();
+  options.store_path = flags.get_string("store");
+  if (options.store_path.empty()) {
+    options.store_path =
+        "/tmp/reldev_site" + std::to_string(site_id) + ".rdev";
+  }
+  options.listen_port = static_cast<std::uint16_t>(flags.get_int("port"));
+  options.scrub.cycle_interval =
+      std::chrono::milliseconds(flags.get_int("scrub-interval"));
+  options.scrub.bytes_per_sec = static_cast<std::uint64_t>(
+      std::max<std::int64_t>(flags.get_int("scrub-throttle"), 0));
+  options.scrub.jitter_seed = site_id + 1;  // desynchronize the fleet
+  auto opened = core::Site::open(
+      site_id,
+      core::GroupConfig::majority(
+          n, static_cast<std::size_t>(flags.get_int("blocks")),
+          static_cast<std::size_t>(flags.get_int("block-size"))),
+      transport, options);
+  if (!opened) {
+    std::cerr << options.store_path << ": "
+              << opened.status().to_string() << '\n';
     return 1;
   }
+  core::Site& site = *opened.value();
+  std::cout << "site " << site_id << " (" << site.replica().scheme_name()
+            << ") serving on port " << site.port() << ", store "
+            << options.store_path
+            << (site.reopened() ? " (reopened)" : " (fresh)") << std::endl;
 
-  auto server = net::tcp::TcpServer::start(
-      static_cast<std::uint16_t>(flags.get_int("port")), replica.get());
-  if (!server) {
-    std::cerr << server.status().to_string() << '\n';
-    return 1;
-  }
-  std::cout << "site " << site << " (" << replica->scheme_name()
-            << ") serving on port " << server.value()->port() << ", store "
-            << store_path
-            << (fresh ? " (fresh)" : " (reopened)") << '\n';
-
-  // A restarted site must not serve stale data: run recovery until it
-  // succeeds (peers may still be coming up).
-  if (!fresh) {
-    std::cout << "running recovery against peers...\n";
-    while (g_stop == 0) {
-      const auto status = replica->recover();
-      if (status.is_ok()) break;
-      std::cout << "  still comatose: " << status.to_string() << '\n';
-      struct timespec delay{1, 0};
-      nanosleep(&delay, nullptr);
+  // A restarted site must not serve stale data: Site::open ran one
+  // recovery round; retry until it succeeds (peers may still be coming up).
+  if (site.reopened()) {
+    std::cout << "running recovery against peers..." << std::endl;
+    while (g_stop == 0 &&
+           site.replica().state() != net::SiteState::kAvailable) {
+      sleep_ms(1000);
+      const auto status = site.replica().recover();
+      if (!status.is_ok()) {
+        std::cout << "  still comatose: " << status.to_string() << std::endl;
+      }
     }
     std::cout << "recovered; state: "
-              << net::site_state_name(replica->state()) << '\n';
+              << net::site_state_name(site.replica().state()) << std::endl;
   }
 
   // Background anti-entropy: walk the device in batches, exchange digests
   // with the peers, heal stale/rotted blocks — throttled so it never
   // competes with foreground traffic. Started only after recovery, so the
   // scrubber never runs over a state the scheme has not vouched for.
-  std::unique_ptr<core::ScrubDaemon> scrubber;
   if (const auto interval = flags.get_int("scrub-interval"); interval > 0) {
-    core::ScrubOptions scrub_options;
-    scrub_options.cycle_interval = std::chrono::milliseconds(interval);
-    scrub_options.bytes_per_sec = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(flags.get_int("scrub-throttle"), 0));
-    scrub_options.jitter_seed = site + 1;  // desynchronize the fleet
-    scrubber = std::make_unique<core::ScrubDaemon>(*replica, scrub_options);
-    scrubber->start();
+    site.scrubber().start();
     std::cout << "scrub daemon: every " << interval << " ms"
-              << (scrub_options.bytes_per_sec != 0
-                      ? ", " + std::to_string(scrub_options.bytes_per_sec) +
+              << (options.scrub.bytes_per_sec != 0
+                      ? ", " + std::to_string(options.scrub.bytes_per_sec) +
                             " B/s budget"
                       : ", unthrottled")
-              << '\n';
+              << std::endl;
   }
 
-  std::signal(SIGINT, handle_signal);
-  std::signal(SIGTERM, handle_signal);
-  while (g_stop == 0) {
-    struct timespec delay{0, 200 * 1000 * 1000};
-    nanosleep(&delay, nullptr);
-  }
-  std::cout << "shutting down site " << site << '\n';
-  if (scrubber) {
-    scrubber->stop();
-    std::cout << "scrub: " << core::format_scrub_stats(scrubber->stats())
+  while (g_stop == 0) sleep_ms(200);
+  std::cout << "shutting down site " << site_id << '\n';
+  if (site.scrubber().running()) {
+    site.scrubber().stop();
+    std::cout << "scrub: " << core::format_scrub_stats(site.scrubber().stats())
               << '\n';
   }
-  server.value()->stop();
   return 0;
 }

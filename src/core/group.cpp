@@ -1,110 +1,49 @@
 #include "reldev/core/group.hpp"
 
-#include "reldev/util/logging.hpp"
-
 namespace reldev::core {
-
-const char* scheme_kind_name(SchemeKind kind) noexcept {
-  switch (kind) {
-    case SchemeKind::kVoting:
-      return "voting";
-    case SchemeKind::kAvailableCopy:
-      return "available-copy";
-    case SchemeKind::kNaiveAvailableCopy:
-      return "naive-available-copy";
-  }
-  return "unknown";
-}
 
 ReplicaGroup::ReplicaGroup(SchemeKind scheme, GroupConfig config,
                            net::AddressingMode mode, WasAvailablePolicy policy)
-    : scheme_(scheme),
-      config_(std::move(config)),
-      policy_(policy),
-      transport_(mode),
-      faults_(transport_) {
-  config_.validate();
-  transport_.set_traffic_meter(&meter_);
-  const std::size_t n = config_.site_count();
-  stores_.reserve(n);
-  replicas_.reserve(n);
-  for (SiteId site = 0; site < n; ++site) {
-    stores_.push_back(std::make_unique<storage::MemBlockStore>(
-        config_.block_count, config_.block_size));
-    replicas_.push_back(make_replica(site));
-    transport_.bind(site, replicas_.back().get());
-    scrubbers_.push_back(make_scrubber(site));
-  }
-}
+    : ReplicaGroup(scheme, std::move(config), PersistentOptions{}, mode,
+                   policy) {}
 
 ReplicaGroup::ReplicaGroup(SchemeKind scheme, GroupConfig config,
                            PersistentOptions persist, net::AddressingMode mode,
                            WasAvailablePolicy policy)
     : scheme_(scheme),
       config_(std::move(config)),
-      policy_(policy),
       transport_(mode),
       faults_(transport_),
-      persistent_(true),
-      journal_(persist.journal),
-      journal_options_(persist.journal_options),
-      directory_(std::move(persist.directory)) {
+      persist_(std::move(persist)) {
   config_.validate();
   transport_.set_traffic_meter(&meter_);
   const std::size_t n = config_.site_count();
-  stores_.reserve(n);
-  replicas_.reserve(n);
+  sites_.reserve(n);
   for (SiteId site = 0; site < n; ++site) {
-    if (journal_) {
-      auto wal = storage::JournaledBlockStore::create(
-          store_path(site), config_.block_count, config_.block_size,
-          journal_options_);
-      RELDEV_EXPECTS(wal.is_ok());
-      stores_.push_back(std::make_unique<storage::CrashPointBlockStore>(
-          std::move(wal).value()));
-    } else {
-      auto file = storage::FileBlockStore::create(
-          store_path(site), config_.block_count, config_.block_size);
-      RELDEV_EXPECTS(file.is_ok());
-      stores_.push_back(std::make_unique<storage::CrashPointBlockStore>(
-          std::move(file).value()));
-    }
-    replicas_.push_back(make_replica(site));
-    transport_.bind(site, replicas_.back().get());
-    scrubbers_.push_back(make_scrubber(site));
+    SiteOptions options;
+    options.scheme = scheme_;
+    options.policy = policy;
+    if (persistent()) options.store_path = store_path(site);
+    options.journal = persist_.journal;
+    options.journal_options = persist_.journal_options;
+    auto opened = Site::open(site, config_, faults_, std::move(options));
+    RELDEV_EXPECTS(opened.is_ok());
+    sites_.push_back(std::move(opened).value());
+    transport_.bind(site, sites_.back().get());
   }
 }
 
-std::unique_ptr<ReplicaBase> ReplicaGroup::make_replica(SiteId site) {
-  switch (scheme_) {
-    case SchemeKind::kVoting:
-      return std::make_unique<VotingReplica>(site, config_, *stores_[site],
-                                             faults_);
-    case SchemeKind::kAvailableCopy:
-      return std::make_unique<AvailableCopyReplica>(site, config_,
-                                                    *stores_[site], faults_,
-                                                    policy_);
-    case SchemeKind::kNaiveAvailableCopy:
-      return std::make_unique<NaiveAvailableCopyReplica>(site, config_,
-                                                         *stores_[site],
-                                                         faults_);
-  }
-  RELDEV_ASSERT(false);
-  return nullptr;
-}
-
-std::unique_ptr<ScrubDaemon> ReplicaGroup::make_scrubber(SiteId site) {
-  return std::make_unique<ScrubDaemon>(*replicas_[site], scrub_options_);
+Site& ReplicaGroup::at(SiteId site) const {
+  RELDEV_EXPECTS(site < sites_.size());
+  return *sites_[site];
 }
 
 ScrubDaemon& ReplicaGroup::scrubber(SiteId site) {
-  RELDEV_EXPECTS(site < scrubbers_.size());
-  return *scrubbers_[site];
+  return at(site).scrubber();
 }
 
 void ReplicaGroup::set_scrub_options(const ScrubOptions& options) {
-  scrub_options_ = options;
-  for (auto& scrubber : scrubbers_) scrubber->set_options(options);
+  for (auto& site : sites_) site->set_scrub_options(options);
 }
 
 Result<ScrubReport> ReplicaGroup::scrub_site(SiteId site) {
@@ -117,8 +56,8 @@ ScrubStats ReplicaGroup::scrub_stats(SiteId site) {
 
 ScrubStats ReplicaGroup::total_scrub_stats() {
   ScrubStats total;
-  for (auto& scrubber : scrubbers_) {
-    const ScrubStats stats = scrubber->stats();
+  for (auto& site : sites_) {
+    const ScrubStats stats = site->scrubber().stats();
     total.blocks_scanned += stats.blocks_scanned;
     total.digests_exchanged += stats.digests_exchanged;
     total.stale_healed += stats.stale_healed;
@@ -138,9 +77,9 @@ Result<std::size_t> ReplicaGroup::scrub_until_converged(
     const ScrubStats before = total_scrub_stats();
     std::size_t healed = 0;
     bool any_scrubbed = false;
-    for (SiteId site = 0; site < replicas_.size(); ++site) {
-      if (replicas_[site]->state() != SiteState::kAvailable) continue;
-      auto report = scrubbers_[site]->run_cycle();
+    for (auto& site : sites_) {
+      if (site->replica().state() != SiteState::kAvailable) continue;
+      auto report = site->scrubber().run_cycle();
       if (!report) continue;  // lost availability mid-cycle; next round
       any_scrubbed = true;
       healed += report.value().stale_healed + report.value().corrupt_healed;
@@ -161,89 +100,44 @@ Result<std::size_t> ReplicaGroup::scrub_until_converged(
                           std::to_string(max_rounds) + " round(s)");
 }
 
-ReplicaBase& ReplicaGroup::replica(SiteId site) {
-  RELDEV_EXPECTS(site < replicas_.size());
-  return *replicas_[site];
-}
+ReplicaBase& ReplicaGroup::replica(SiteId site) { return at(site).replica(); }
 
 storage::BlockStore& ReplicaGroup::store(SiteId site) {
-  RELDEV_EXPECTS(site < stores_.size());
-  return *stores_[site];
+  return at(site).store();
 }
 
 std::string ReplicaGroup::store_path(SiteId site) const {
-  RELDEV_EXPECTS(persistent_);
-  return directory_ + "/site" + std::to_string(site) + ".rdev";
+  RELDEV_EXPECTS(persistent());
+  return persist_.directory + "/site" + std::to_string(site) + ".rdev";
 }
 
 storage::CrashPointBlockStore& ReplicaGroup::crash_points(SiteId site) {
-  RELDEV_EXPECTS(persistent_ && site < stores_.size());
-  return static_cast<storage::CrashPointBlockStore&>(*stores_[site]);
+  return at(site).crash_points();
 }
 
-Status ReplicaGroup::sync_site(SiteId site) {
-  RELDEV_EXPECTS(site < stores_.size());
-  return stores_[site]->sync();
-}
+Status ReplicaGroup::sync_site(SiteId site) { return store(site).sync(); }
 
 Status ReplicaGroup::checkpoint_site(SiteId site) {
-  RELDEV_EXPECTS(persistent_ && journal_);
+  RELDEV_EXPECTS(journaled());
   return crash_points(site).checkpoint();
 }
 
 void ReplicaGroup::kill_site(SiteId site) {
-  RELDEV_EXPECTS(persistent_);
-  replica(site).crash();
+  at(site).kill();
   transport_.set_up(site, false);
-  auto& injector = crash_points(site);
-  // Closing the descriptor without a flush leaves exactly the bytes the
-  // (possibly torn) pwrites produced — the on-disk state a dying process
-  // leaves behind. In journal mode this also vaporises the in-memory
-  // pending batch and write-back table, as a process death would.
-  injector.drop_inner();
 }
 
 Status ReplicaGroup::restart_site(SiteId site) {
-  RELDEV_EXPECTS(persistent_);
-  auto& injector = crash_points(site);
-  RELDEV_EXPECTS(!injector.has_inner());  // kill_site first
-  if (journal_) {
-    auto reopened =
-        storage::JournaledBlockStore::open(store_path(site), journal_options_);
-    if (!reopened) return reopened.status();
-    auto& wal = *reopened.value();
-    if (wal.replayed_records() > 0 || wal.replay_truncated_tail()) {
-      RELDEV_INFO("group") << "site " << site << " journal replay applied "
-                           << wal.replayed_records() << " record(s)"
-                           << (wal.replay_truncated_tail()
-                                   ? " (torn tail truncated)"
-                                   : "");
-    }
-    injector.adopt(std::move(reopened).value());
-    replicas_[site] = make_replica(site);
-    replicas_[site]->crash();
-    transport_.bind(site, replicas_[site].get());
-    // A fresh scrub daemon over the reopened store resumes from the
-    // persisted cursor — mid-cycle progress survives the kill.
-    scrubbers_[site] = make_scrubber(site);
-    return recover_site(site);
+  // Up before the restart's recovery round: peers answering it may call
+  // back into the recovering site.
+  transport_.set_up(site, true);
+  const Status status = at(site).restart();
+  if (!crash_points(site).has_inner()) {  // the reopen itself failed
+    transport_.set_up(site, false);
+    return status;
   }
-  auto reopened = storage::FileBlockStore::open(store_path(site));
-  if (!reopened) return reopened.status();
-  if (!reopened.value()->scrub_demoted().empty()) {
-    RELDEV_INFO("group") << "site " << site << " scrub demoted "
-                         << reopened.value()->scrub_demoted().size()
-                         << " torn block(s) on restart";
-  }
-  injector.adopt(std::move(reopened).value());
-  // A fresh server process over the recovered store: the replica rebuilds
-  // its volatile state (e.g. the was-available set) from the store, starts
-  // failed, and comes up through the scheme's recovery procedure.
-  replicas_[site] = make_replica(site);
-  replicas_[site]->crash();
-  transport_.bind(site, replicas_[site].get());
-  scrubbers_[site] = make_scrubber(site);
-  return recover_site(site);
+  retry_comatose();
+  return status;
 }
 
 void ReplicaGroup::crash_site(SiteId site) {
@@ -263,10 +157,11 @@ std::size_t ReplicaGroup::retry_comatose() {
   bool progress = true;
   while (progress) {
     progress = false;
-    for (auto& replica : replicas_) {
-      if (replica->state() != SiteState::kComatose) continue;
-      if (!transport_.is_up(replica->id())) continue;
-      if (replica->recover().is_ok()) {
+    for (auto& site : sites_) {
+      ReplicaBase& replica = site->replica();
+      if (replica.state() != SiteState::kComatose) continue;
+      if (!transport_.is_up(replica.id())) continue;
+      if (replica.recover().is_ok()) {
         ++recovered;
         progress = true;
       }
@@ -278,17 +173,17 @@ std::size_t ReplicaGroup::retry_comatose() {
 bool ReplicaGroup::group_available() const {
   if (scheme_ == SchemeKind::kVoting) {
     std::uint64_t up_weight = 0;
-    for (const auto& replica : replicas_) {
-      if (transport_.is_up(replica->id())) {
-        up_weight += config_.weight_of(replica->id());
+    for (const auto& site : sites_) {
+      if (transport_.is_up(site->id())) {
+        up_weight += config_.weight_of(site->id());
       }
     }
     return up_weight >= config_.read_quorum_millivotes &&
            up_weight >= config_.write_quorum_millivotes;
   }
-  for (const auto& replica : replicas_) {
-    if (transport_.is_up(replica->id()) &&
-        replica->state() == SiteState::kAvailable) {
+  for (const auto& site : sites_) {
+    if (transport_.is_up(site->id()) &&
+        site->replica().state() == SiteState::kAvailable) {
       return true;
     }
   }
@@ -316,17 +211,15 @@ Status ReplicaGroup::write_range(SiteId via, BlockId first,
 
 std::vector<SiteState> ReplicaGroup::states() const {
   std::vector<SiteState> result;
-  result.reserve(replicas_.size());
-  for (const auto& replica : replicas_) result.push_back(replica->state());
+  result.reserve(sites_.size());
+  for (const auto& site : sites_) result.push_back(site->replica().state());
   return result;
 }
 
 std::vector<bool> ReplicaGroup::up() const {
   std::vector<bool> result;
-  result.reserve(replicas_.size());
-  for (const auto& replica : replicas_) {
-    result.push_back(transport_.is_up(replica->id()));
-  }
+  result.reserve(sites_.size());
+  for (const auto& site : sites_) result.push_back(transport_.is_up(site->id()));
   return result;
 }
 

@@ -1,8 +1,8 @@
-// ReplicaGroup: an in-process replication group — n replicas of one
-// scheme, their block stores, and the transport wiring between them. The
-// examples, the tests, and the discrete-event experiments all build groups
-// through this class; fail-stop crashes and recoveries are driven through
-// it so the replica state and the transport reachability stay in step.
+// ReplicaGroup: an in-process replication group — n Sites of one scheme
+// and the transport wiring between them. The examples, the tests, and the
+// discrete-event experiments all build groups through this class;
+// fail-stop crashes and recoveries are driven through it so the replica
+// state and the transport reachability stay in step.
 #pragma once
 
 #include <memory>
@@ -12,6 +12,7 @@
 #include "reldev/core/available_copy_replica.hpp"
 #include "reldev/core/naive_replica.hpp"
 #include "reldev/core/scrub_daemon.hpp"
+#include "reldev/core/site.hpp"
 #include "reldev/core/voting_replica.hpp"
 #include "reldev/net/fault_transport.hpp"
 #include "reldev/net/inproc_transport.hpp"
@@ -20,16 +21,13 @@
 
 namespace reldev::core {
 
-enum class SchemeKind { kVoting, kAvailableCopy, kNaiveAvailableCopy };
-
-const char* scheme_kind_name(SchemeKind kind) noexcept;
-
 /// Back every site with a FileBlockStore (wrapped in a crash-point
 /// injector) instead of the in-memory store: one `site<N>.rdev` file per
-/// site under `directory`, created fresh by the constructor. With
-/// `journal` set, each site instead runs a JournaledBlockStore —
-/// write-ahead journal (`site<N>.rdev.wal`) with group commit in front of
-/// the same v2 file — under the same injector.
+/// site under `directory`, created when missing and otherwise reopened
+/// through recovery (see Site). With `journal` set, each site instead runs
+/// a JournaledBlockStore — write-ahead journal (`site<N>.rdev.wal`) with
+/// group commit in front of the same v2 file — under the same injector.
+/// An empty `directory` means in-memory stores.
 struct PersistentOptions {
   std::string directory;
   bool journal = false;
@@ -50,15 +48,17 @@ class ReplicaGroup {
 
   [[nodiscard]] SchemeKind scheme() const noexcept { return scheme_; }
   [[nodiscard]] const GroupConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::size_t size() const noexcept { return replicas_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return sites_.size(); }
 
   [[nodiscard]] ReplicaBase& replica(SiteId site);
   [[nodiscard]] storage::BlockStore& store(SiteId site);
 
   /// Whether this group runs on file-backed stores.
-  [[nodiscard]] bool persistent() const noexcept { return persistent_; }
+  [[nodiscard]] bool persistent() const noexcept {
+    return !persist_.directory.empty();
+  }
   /// Whether the file-backed stores run in journal (write-ahead) mode.
-  [[nodiscard]] bool journaled() const noexcept { return journal_; }
+  [[nodiscard]] bool journaled() const noexcept { return persist_.journal; }
   /// Path of a site's backing file (persistent groups only).
   [[nodiscard]] std::string store_path(SiteId site) const;
   /// The crash-point injector wrapping a site's file store (persistent
@@ -91,15 +91,13 @@ class ReplicaGroup {
   /// status of this site's own recovery attempt (kUnavailable = comatose).
   [[nodiscard]] Status recover_site(SiteId site);
 
-  /// Hard-kill a persistent site the way a dying machine would: fail-stop
-  /// the replica, cut the transport, and drop the store's file handle with
-  /// no flush — whatever torn bytes an armed crash point left stay on disk.
+  /// Hard-kill a persistent site the way a dying machine would
+  /// (Site::kill) and cut the transport — whatever torn bytes an armed
+  /// crash point left stay on disk.
   void kill_site(SiteId site);
 
-  /// Restart a killed persistent site: reopen its file through the full
-  /// recovery path (header check, metadata-slot election, block scrub),
-  /// rebuild the replica from the recovered state, and run the scheme's
-  /// recovery procedure. kUnavailable = alive but comatose (e.g. the
+  /// Restart a killed persistent site (Site::restart), then retry the
+  /// other comatose sites. kUnavailable = alive but comatose (e.g. the
   /// available-copy closure has not fully recovered yet).
   [[nodiscard]] Status restart_site(SiteId site);
 
@@ -157,29 +155,18 @@ class ReplicaGroup {
       std::size_t max_rounds);
 
  private:
-  /// Build the scheme's replica over stores_[site]; used at construction
-  /// and again when restart_site rebuilds a killed site's server process.
-  [[nodiscard]] std::unique_ptr<ReplicaBase> make_replica(SiteId site);
-
-  /// Build the scrub daemon for replicas_[site] (after make_replica).
-  [[nodiscard]] std::unique_ptr<ScrubDaemon> make_scrubber(SiteId site);
+  [[nodiscard]] Site& at(SiteId site) const;
 
   SchemeKind scheme_;
   GroupConfig config_;
-  WasAvailablePolicy policy_;
   net::TrafficMeter meter_;
   net::InProcTransport transport_;
   // Decorates transport_; replicas are wired through it so scripted and
   // randomized faults apply to all inter-replica traffic.
   net::FaultInjectingTransport faults_;
-  bool persistent_ = false;
-  bool journal_ = false;
-  storage::JournalOptions journal_options_;
-  std::string directory_;
-  std::vector<std::unique_ptr<storage::BlockStore>> stores_;
-  std::vector<std::unique_ptr<ReplicaBase>> replicas_;
-  ScrubOptions scrub_options_;
-  std::vector<std::unique_ptr<ScrubDaemon>> scrubbers_;
+  PersistentOptions persist_;
+  // Each Site is bound to transport_ as its site's handler.
+  std::vector<std::unique_ptr<Site>> sites_;
 };
 
 }  // namespace reldev::core

@@ -174,15 +174,9 @@ Result<Scenario> Scenario::parse(const std::string& text) {
           return syntax_error(line, "store takes mem, file, or journal");
         }
       } else {  // scheme
-        if (args[0] == "voting") {
-          scenario.scheme = SchemeKind::kVoting;
-        } else if (args[0] == "available-copy") {
-          scenario.scheme = SchemeKind::kAvailableCopy;
-        } else if (args[0] == "naive-available-copy") {
-          scenario.scheme = SchemeKind::kNaiveAvailableCopy;
-        } else {
-          return syntax_error(line, "unknown scheme '" + args[0] + "'");
-        }
+        auto scheme = scheme_kind_from_name(args[0]);
+        if (!scheme) return syntax_error(line, scheme.status().message());
+        scenario.scheme = scheme.value();
       }
       continue;
     }

@@ -30,6 +30,18 @@ namespace reldev::net::tcp {
 /// hiccup rather than an indefinite hang.
 inline constexpr std::chrono::milliseconds kDefaultCallTimeout{5000};
 
+/// One `host:port` address of a site server.
+struct Endpoint {
+  std::string host;
+  std::uint16_t port = 0;
+};
+
+/// Parse a comma-separated `host:port` list (entry i = site i). Each entry
+/// needs a non-empty host and a decimal port in 1..65535; kInvalidArgument
+/// names the first entry that is not.
+[[nodiscard]] Result<std::vector<Endpoint>> parse_endpoints(
+    const std::string& text);
+
 /// Bounds on the per-endpoint idle-connection pool.
 struct PoolOptions {
   /// Idle sockets kept per endpoint; releases beyond the cap close the
@@ -126,7 +138,6 @@ class TcpPeerTransport final : public Transport {
 
   void set_endpoint(SiteId site, const std::string& host, std::uint16_t port)
       RELDEV_EXCLUDES(mutex_);
-  void remove_endpoint(SiteId site) RELDEV_EXCLUDES(mutex_);
 
   /// Per-call deadline applied to every channel (existing and future).
   void set_call_timeout(std::chrono::milliseconds timeout)

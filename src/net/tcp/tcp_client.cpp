@@ -1,6 +1,7 @@
 #include "reldev/net/tcp/tcp_client.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <utility>
 
 namespace reldev::net::tcp {
@@ -15,6 +16,32 @@ std::chrono::milliseconds remaining_until(Clock::time_point deadline) {
 }
 
 }  // namespace
+
+Result<std::vector<Endpoint>> parse_endpoints(const std::string& text) {
+  std::vector<Endpoint> endpoints;
+  std::size_t start = 0;
+  while (true) {
+    const auto comma = text.find(',', start);
+    const std::string item = text.substr(
+        start, comma == std::string::npos ? std::string::npos : comma - start);
+    const auto colon = item.rfind(':');
+    if (colon == std::string::npos || colon == 0) {
+      return errors::invalid_argument("'" + item + "' is not host:port");
+    }
+    const char* first = item.data() + colon + 1;
+    const char* last = item.data() + item.size();
+    unsigned port = 0;
+    const auto [end, error] = std::from_chars(first, last, port);
+    if (first == last || error != std::errc{} || end != last || port == 0 ||
+        port > 65535) {
+      return errors::invalid_argument("bad port in '" + item + "'");
+    }
+    endpoints.push_back(
+        Endpoint{item.substr(0, colon), static_cast<std::uint16_t>(port)});
+    if (comma == std::string::npos) return endpoints;
+    start = comma + 1;
+  }
+}
 
 TcpChannel::TcpChannel(std::string host, std::uint16_t port,
                        std::chrono::milliseconds timeout,
@@ -149,11 +176,6 @@ void TcpPeerTransport::set_endpoint(SiteId site, const std::string& host,
   const MutexLock lock(mutex_);
   channels_[site] =
       std::make_shared<TcpChannel>(host, port, call_timeout_, pool_options_);
-}
-
-void TcpPeerTransport::remove_endpoint(SiteId site) {
-  const MutexLock lock(mutex_);
-  channels_.erase(site);
 }
 
 void TcpPeerTransport::set_call_timeout(std::chrono::milliseconds timeout) {

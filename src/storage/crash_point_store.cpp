@@ -99,12 +99,6 @@ std::unique_ptr<FileBlockStore> CrashPointBlockStore::surrender() {
   return std::move(file_);
 }
 
-std::unique_ptr<JournaledBlockStore> CrashPointBlockStore::surrender_journaled() {
-  RELDEV_EXPECTS(journal_mode_);
-  if (wal_ != nullptr) wal_->set_failpoint_hook(nullptr);
-  return std::move(wal_);
-}
-
 void CrashPointBlockStore::drop_inner() noexcept {
   file_.reset();
   // Destroying the journaled store is the "dying process": the pending
@@ -138,11 +132,6 @@ void CrashPointBlockStore::adopt(std::unique_ptr<JournaledBlockStore> inner) {
 FileBlockStore& CrashPointBlockStore::inner() {
   RELDEV_EXPECTS(file_ != nullptr);
   return *file_;
-}
-
-JournaledBlockStore& CrashPointBlockStore::journaled_inner() {
-  RELDEV_EXPECTS(wal_ != nullptr);
-  return *wal_;
 }
 
 BlockStore* CrashPointBlockStore::active() const noexcept {

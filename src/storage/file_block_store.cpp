@@ -254,6 +254,9 @@ Result<std::unique_ptr<FileBlockStore>> FileBlockStore::open(
     const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDWR);
   if (fd < 0) {
+    // A missing file is the one failure a caller may answer with create();
+    // every other error must not be mistaken for "no store yet".
+    if (errno == ENOENT) return errors::not_found("no store at " + path);
     return errors::io_error("cannot open " + path + ": " + errno_text());
   }
   std::vector<std::byte> raw(kHeaderSize);

@@ -113,8 +113,6 @@ class CrashPointBlockStore final : public BlockStore {
   /// and write-back table evaporate with the process), the torn file(s)
   /// stay on disk. Returns the released store (usually discarded).
   std::unique_ptr<FileBlockStore> surrender();
-  /// Journal-mode twin of surrender().
-  std::unique_ptr<JournaledBlockStore> surrender_journaled();
   /// Mode-agnostic hard drop: discard whichever store is held.
   void drop_inner() noexcept;
 
@@ -129,7 +127,6 @@ class CrashPointBlockStore final : public BlockStore {
   /// Whether this injector wraps a journaled store.
   [[nodiscard]] bool journaled() const noexcept { return journal_mode_; }
   [[nodiscard]] FileBlockStore& inner();
-  [[nodiscard]] JournaledBlockStore& journaled_inner();
 
   /// Journal mode: force a checkpoint (its fail points stay armed).
   [[nodiscard]] Status checkpoint();

@@ -44,6 +44,7 @@ class FileBlockStore final : public BlockStore {
 
   /// Open an existing store file: validate the header, elect the live
   /// metadata slot, and scrub every block record (see the header comment).
+  /// kNotFound when the file does not exist; kCorruption for a bad header.
   static Result<std::unique_ptr<FileBlockStore>> open(const std::string& path);
 
   ~FileBlockStore() override;

@@ -98,7 +98,8 @@ class JournaledBlockStore final : public BlockStore {
   /// recovery (header check, slot election, torn-record scrub), then scan
   /// and replay the journal's committed prefix over it (see file comment).
   /// A missing journal file (a store created before journal mode, or a
-  /// checkpointed clean shutdown under old tooling) is treated as empty.
+  /// checkpointed clean shutdown under old tooling) is treated as empty;
+  /// a missing main file is kNotFound.
   static Result<std::unique_ptr<JournaledBlockStore>> open(
       const std::string& path, JournalOptions options = {});
 
@@ -171,11 +172,6 @@ class JournaledBlockStore final : public BlockStore {
   /// Checkpoints completed since open (automatic and explicit).
   [[nodiscard]] std::uint64_t checkpoints_taken() const
       RELDEV_EXCLUDES(mutex_);
-
-  /// Blocks the opening scrub of the main file demoted (forwarded).
-  [[nodiscard]] const std::vector<BlockId>& scrub_demoted() const noexcept {
-    return inner_->scrub_demoted();
-  }
 
   [[nodiscard]] const std::string& path() const noexcept {
     return inner_->path();

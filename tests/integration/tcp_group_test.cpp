@@ -4,10 +4,12 @@
 // over the same wire protocol — the full Figure 1/2 picture.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "reldev/core/driver_stub.hpp"
-#include "reldev/core/group.hpp"
+#include "reldev/core/site.hpp"
 #include "reldev/net/tcp/tcp_client.hpp"
-#include "reldev/net/tcp/tcp_server.hpp"
+#include "support/temp_dir.hpp"
 
 namespace reldev::core {
 namespace {
@@ -16,34 +18,51 @@ storage::BlockData payload(std::size_t size, std::uint8_t seed) {
   return storage::BlockData(size, static_cast<std::byte>(seed));
 }
 
-/// Three AC replicas, each "hosted" behind its own TCP server, with a
-/// shared peer transport for inter-site traffic.
-class TcpGroupTest : public ::testing::Test {
- protected:
-  static constexpr std::size_t kBlocks = 4;
-  static constexpr std::size_t kBlockSize = 64;
+constexpr std::size_t kBlocks = 4;
+constexpr std::size_t kBlockSize = 64;
 
-  void SetUp() override {
-    config_ = GroupConfig::majority(3, kBlocks, kBlockSize);
-    for (SiteId site = 0; site < 3; ++site) {
-      stores_.push_back(
-          std::make_unique<storage::MemBlockStore>(kBlocks, kBlockSize));
-      replicas_.push_back(std::make_unique<AvailableCopyReplica>(
-          site, config_, *stores_.back(), transport_));
-    }
-    for (SiteId site = 0; site < 3; ++site) {
-      auto server = net::tcp::TcpServer::start(0, replicas_[site].get());
-      ASSERT_TRUE(server.is_ok());
-      transport_.set_endpoint(site, "127.0.0.1", server.value()->port());
-      servers_.push_back(std::move(server).value());
+/// `n` Sites of one scheme over one shared peer transport, each serving on
+/// its own ephemeral TCP port: n daemons in one process. With
+/// `file_stores`, every site keeps a file store in a fresh directory.
+class TcpSites {
+ protected:
+  void open_sites(SchemeKind scheme, std::size_t n, bool file_stores = false) {
+    if (file_stores) dir_.emplace("reldev_tcp_group");
+    const auto config = GroupConfig::majority(n, kBlocks, kBlockSize);
+    for (SiteId id = 0; id < n; ++id) {
+      SiteOptions options;
+      options.scheme = scheme;
+      options.listen_port = 0;
+      if (dir_) {
+        options.store_path =
+            (dir_->path() / ("site" + std::to_string(id) + ".rdev")).string();
+      }
+      auto site = Site::open(id, config, transport_, options);
+      ASSERT_TRUE(site.is_ok()) << site.status().to_string();
+      transport_.set_endpoint(id, "127.0.0.1", site.value()->port());
+      sites_.push_back(std::move(site).value());
+      replicas_.push_back(&sites_.back()->replica());
+      stores_.push_back(&sites_.back()->store());
+      servers_.push_back(sites_.back()->server());
     }
   }
 
-  GroupConfig config_;
+  std::optional<test::TempDir> dir_;  // outlives the sites' open files
   net::tcp::TcpPeerTransport transport_;
-  std::vector<std::unique_ptr<storage::MemBlockStore>> stores_;
-  std::vector<std::unique_ptr<AvailableCopyReplica>> replicas_;
-  std::vector<std::unique_ptr<net::tcp::TcpServer>> servers_;
+  std::vector<std::unique_ptr<Site>> sites_;
+  // Views into sites_, valid until a site restarts.
+  std::vector<ReplicaBase*> replicas_;
+  std::vector<storage::BlockStore*> stores_;
+  std::vector<net::tcp::TcpServer*> servers_;
+};
+
+/// Three AC sites on file stores, each behind its own TCP server, with a
+/// shared peer transport for inter-site traffic.
+class TcpGroupTest : public ::testing::Test, protected TcpSites {
+ protected:
+  void SetUp() override {
+    open_sites(SchemeKind::kAvailableCopy, 3, /*file_stores=*/true);
+  }
 };
 
 TEST_F(TcpGroupTest, WriteReplicatesOverRealSockets) {
@@ -93,33 +112,11 @@ TEST_F(TcpGroupTest, SiteRecoversOverTcpAfterMissingWrites) {
 /// Five voting replicas behind TCP: the push after a write travels as a
 /// call (request/reply transports have no one-way send), and reads stop
 /// gathering votes at the read quorum.
-class TcpVotingGroupTest : public ::testing::Test {
+class TcpVotingGroupTest : public ::testing::Test, protected TcpSites {
  protected:
-  static constexpr std::size_t kBlocks = 4;
-  static constexpr std::size_t kBlockSize = 64;
   static constexpr std::size_t kSites = 5;
 
-  void SetUp() override {
-    config_ = GroupConfig::majority(kSites, kBlocks, kBlockSize);
-    for (SiteId site = 0; site < kSites; ++site) {
-      stores_.push_back(
-          std::make_unique<storage::MemBlockStore>(kBlocks, kBlockSize));
-      replicas_.push_back(std::make_unique<VotingReplica>(
-          site, config_, *stores_.back(), transport_));
-    }
-    for (SiteId site = 0; site < kSites; ++site) {
-      auto server = net::tcp::TcpServer::start(0, replicas_[site].get());
-      ASSERT_TRUE(server.is_ok());
-      transport_.set_endpoint(site, "127.0.0.1", server.value()->port());
-      servers_.push_back(std::move(server).value());
-    }
-  }
-
-  GroupConfig config_;
-  net::tcp::TcpPeerTransport transport_;
-  std::vector<std::unique_ptr<storage::MemBlockStore>> stores_;
-  std::vector<std::unique_ptr<VotingReplica>> replicas_;
-  std::vector<std::unique_ptr<net::tcp::TcpServer>> servers_;
+  void SetUp() override { open_sites(SchemeKind::kVoting, kSites); }
 };
 
 TEST_F(TcpVotingGroupTest, WritePushReplicatesOverRealSockets) {
@@ -143,6 +140,30 @@ TEST_F(TcpVotingGroupTest, EarlyStopReadThroughEverySiteSeesNewestVersion) {
   for (SiteId site = 0; site < kSites; ++site) {
     EXPECT_EQ(replicas_[site]->read(2).value(), v2) << "site " << site;
   }
+}
+
+TEST_F(TcpGroupTest, KilledSiteRestartsOnItsPortAndRecoversFromItsFile) {
+  const auto v1 = payload(kBlockSize, 20);
+  ASSERT_TRUE(sites_[0]->replica().write(2, v1).is_ok());
+  const std::uint16_t port = sites_[2]->port();
+  // Process death: the server goes away and the store closes unflushed.
+  sites_[2]->kill();
+  const auto v2 = payload(kBlockSize, 21);
+  ASSERT_TRUE(sites_[0]->replica().write(2, v2).is_ok());
+
+  // The new process reopens the same file, comes up failed on the same
+  // port, and its recovery round over TCP brings back the missed write.
+  const Status restarted = sites_[2]->restart();
+  ASSERT_TRUE(restarted.is_ok()) << restarted.to_string();
+  EXPECT_EQ(sites_[2]->port(), port);
+  EXPECT_EQ(sites_[2]->replica().state(), SiteState::kAvailable);
+  EXPECT_EQ(sites_[2]->store().read(2).value().data, v2);
+
+  // Clients reach it at its old address again.
+  auto stub = DriverStub::connect(transport_, 100, {2});
+  ASSERT_TRUE(stub.is_ok()) << stub.status().to_string();
+  EXPECT_EQ(stub.value().read_block(2).value(), v2);
+  EXPECT_EQ(stub.value().last_server(), 2u);
 }
 
 TEST_F(TcpGroupTest, FailedReplicaAnswersNothing) {

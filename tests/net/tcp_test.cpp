@@ -31,6 +31,28 @@ class EchoHandler : public MessageHandler {
   std::atomic<int> calls{0};
 };
 
+TEST(ParseEndpointsTest, ParsesPositionalList) {
+  auto endpoints = parse_endpoints("127.0.0.1:7000,localhost:65535,h:1");
+  ASSERT_TRUE(endpoints.is_ok()) << endpoints.status().to_string();
+  ASSERT_EQ(endpoints.value().size(), 3u);
+  EXPECT_EQ(endpoints.value()[0].host, "127.0.0.1");
+  EXPECT_EQ(endpoints.value()[0].port, 7000);
+  EXPECT_EQ(endpoints.value()[1].host, "localhost");
+  EXPECT_EQ(endpoints.value()[1].port, 65535);
+  EXPECT_EQ(endpoints.value()[2].port, 1);
+}
+
+TEST(ParseEndpointsTest, RejectsBadEntries) {
+  for (const char* text :
+       {"127.0.0.1:", "127.0.0.1:0", "127.0.0.1:65536", ":70000",
+        "127.0.0.1:70000", "127.0.0.1:http", "127.0.0.1:12ab",
+        "127.0.0.1:-1", "127.0.0.1", "", "127.0.0.1:7000,", ":7000"}) {
+    auto endpoints = parse_endpoints(text);
+    EXPECT_EQ(endpoints.status().code(), reldev::ErrorCode::kInvalidArgument)
+        << "'" << text << "'";
+  }
+}
+
 TEST(TcpSocketTest, ConnectToClosedPortFails) {
   // Port 1 on localhost is essentially never listening.
   auto socket = Socket::connect("127.0.0.1", 1);

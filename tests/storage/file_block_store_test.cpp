@@ -67,8 +67,13 @@ TEST_F(FileBlockStoreTest, PersistsAcrossReopen) {
 }
 
 TEST_F(FileBlockStoreTest, OpenMissingFileFails) {
+  // kNotFound, not kIoError: "no store yet" is the one open failure a
+  // caller may answer by creating the file.
   auto store = FileBlockStore::open("/nonexistent/dir/store.dat");
-  EXPECT_EQ(store.status().code(), reldev::ErrorCode::kIoError);
+  EXPECT_EQ(store.status().code(), reldev::ErrorCode::kNotFound);
+  EXPECT_EQ(FileBlockStore::open(path_.string()).status().code(),
+            reldev::ErrorCode::kNotFound);
+  EXPECT_FALSE(std::filesystem::exists(path_));
 }
 
 TEST_F(FileBlockStoreTest, OpenGarbageFileFailsWithCorruption) {

@@ -48,6 +48,13 @@ TEST_F(JournaledBlockStoreTest, CreateInitializesZeroedWithJournalSidecar) {
       JournaledBlockStore::journal_path(path_.string())));
 }
 
+TEST_F(JournaledBlockStoreTest, OpenMissingStoreIsNotFound) {
+  auto store = JournaledBlockStore::open(path_.string());
+  EXPECT_EQ(store.status().code(), reldev::ErrorCode::kNotFound);
+  EXPECT_FALSE(std::filesystem::exists(
+      JournaledBlockStore::journal_path(path_.string())));
+}
+
 TEST_F(JournaledBlockStoreTest, WritesAreVisibleBeforeAnySync) {
   auto store = make();
   ASSERT_TRUE(store->write(2, pattern(64, 1), 4).is_ok());
