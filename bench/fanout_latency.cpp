@@ -1,9 +1,11 @@
 // FANOUT: sequential vs parallel quorum fan-out latency over real TCP.
 // Each peer's handler sleeps an injected delay d before voting; sequential
-// scatter-gather costs ~k*d while the FanOut dispatcher costs ~d, and an
-// early-stop read quorum with one straggler returns in ~d instead of the
-// straggler's delay. These are the wins the transport must show before the
-// protocol engines can be "as fast as the hardware allows" (ROADMAP).
+// scatter-gather costs ~k*d, while TcpPeerTransport's multicast (the
+// request written to every peer, then one poll() over all their sockets on
+// the calling thread) costs ~d, and an early-stop read quorum with one
+// straggler returns in ~d instead of the straggler's delay. These are the
+// wins the transport must show before the protocol engines can be "as fast
+// as the hardware allows" (ROADMAP).
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -71,8 +73,8 @@ struct PeerGroup {
   net::SiteSet peers;
 };
 
-/// One scatter-gather, peer by peer — the pre-FanOut transport behaviour,
-/// kept here as the measured baseline.
+/// One scatter-gather, peer by peer — a call per peer, each waiting for its
+/// reply before the next is sent — kept here as the measured baseline.
 double sequential_round(PeerGroup& group, const net::Message& request) {
   const auto start = Clock::now();
   for (const net::SiteId peer : group.peers) {

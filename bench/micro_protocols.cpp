@@ -140,10 +140,10 @@ BENCHMARK(BM_AcFullRecovery);
 
 // The device path over real sockets: a voting group of `sites` replicas,
 // each behind its own TCP server on loopback, the coordinator's quorum
-// rounds fanned out by the FanOut dispatcher. The in-process numbers above
-// measure the protocol engines; this measures what a deployment pays —
-// and what the parallel fan-out saves (the round costs the slowest peer's
-// RTT, not the sum of all of them).
+// rounds scattered and gathered on its own thread by TcpPeerTransport.
+// The in-process numbers above measure the protocol engines; this
+// measures what a deployment pays — and what the parallel fan-out saves
+// (the round costs the slowest peer's RTT, not the sum of all of them).
 class TcpVotingGroup {
  public:
   explicit TcpVotingGroup(std::size_t sites) {

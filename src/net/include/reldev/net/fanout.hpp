@@ -1,15 +1,10 @@
-// FanOut: a small shared worker pool for concurrent RPC fan-out. A group
-// operation submits one task per peer; the tasks run in parallel so the
-// latency of a multicast round is the *maximum* per-peer round trip, not
-// the sum. Tasks may outlive the operation that launched them (stragglers
-// past an early-stop quorum keep running so their replies can still be
-// metered); anything a task touches must therefore be owned by the task
-// itself or by a shared_ptr it captures.
-//
-// TcpServer owns a separate instance as its handler pool. It must never
-// use shared(): a handler blocks on the fan-out tasks it queued there.
+// FanOut: a fixed pool of worker threads running submitted tasks in order.
+// Its one user is TcpServer, whose handlers run here because they block
+// (storage I/O, peer round trips on the handler's own thread). Peer calls
+// never use it: the TCP transport waits on peers on the calling thread.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -22,33 +17,21 @@ namespace reldev::net {
 
 class FanOut {
  public:
-  /// A pool sized for small replica groups: enough threads that one full
-  /// fan-out (group sizes of 3..9) plus a concurrent operation's stragglers
-  /// never queue behind each other on typical hardware.
-  static std::size_t default_thread_count();
-
-  explicit FanOut(std::size_t threads = default_thread_count());
+  /// By default max(8, hardware_concurrency) threads: enough that a few
+  /// handlers blocked on storage or peers do not stall the rest.
+  explicit FanOut(std::size_t threads = std::max<std::size_t>(
+                      8, std::thread::hardware_concurrency()));
 
   /// Drains the queue and joins the workers. Every submitted task runs to
-  /// completion before the destructor returns; submitters that need their
-  /// tasks finished earlier must track completion themselves (see
-  /// TcpPeerTransport's outstanding-task latch).
+  /// completion before the destructor returns.
   ~FanOut();
 
   FanOut(const FanOut&) = delete;
   FanOut& operator=(const FanOut&) = delete;
 
-  /// Process-wide pool shared by every transport. Constructed on first use;
-  /// lives until process exit.
-  static FanOut& shared();
-
   /// Enqueue a task. Never blocks; tasks run in submission order as workers
   /// free up.
   void submit(std::function<void()> task) RELDEV_EXCLUDES(mutex_);
-
-  [[nodiscard]] std::size_t thread_count() const noexcept {
-    return workers_.size();
-  }
 
  private:
   void worker_loop() RELDEV_EXCLUDES(mutex_);

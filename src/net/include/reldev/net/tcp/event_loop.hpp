@@ -6,7 +6,7 @@
 // Threading contract:
 //   * run() is called once, on the thread that will own the loop;
 //   * stop() and post() are safe from any thread;
-//   * every other method — the async_* operations, cancel(), timers — is
+//   * every other method — the async_* operations and cancel() — is
 //     loop-thread-only (call them from a posted task or a completion
 //     handler). This keeps all per-fd state unsynchronized by construction;
 //     the only locks in a loop guard the cross-thread task queue.
@@ -27,8 +27,6 @@
 
 #include <sys/uio.h>
 
-#include <chrono>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -46,7 +44,6 @@ class EventLoop {
   /// non-blocking) or the errno-derived Status.
   using AcceptHandler = std::function<void(Result<int>)>;
   using Task = std::function<void()>;
-  using TimerId = std::uint64_t;
 
   /// Builds a loop: an epoll instance plus the eventfd post() wakes it by.
   [[nodiscard]] static Result<std::unique_ptr<EventLoop>> create();
@@ -83,11 +80,6 @@ class EventLoop {
   /// untouched (close it after cancelling). Required before closing any
   /// fd this loop has ever armed an operation on, pending or not.
   void cancel(int fd);
-
-  /// One-shot timer on the loop thread. Cancelling an already-fired id is
-  /// a harmless no-op.
-  TimerId add_timer(std::chrono::milliseconds delay, Task task);
-  void cancel_timer(TimerId id);
 
   /// Largest iovec count an async_readv/async_writev accepts.
   static constexpr std::size_t kMaxIov = 4;

@@ -1,7 +1,9 @@
 // Thin RAII wrappers over POSIX TCP sockets: a connected stream socket and
-// a listening acceptor. Blocking I/O with EINTR handling; all failures are
-// reported as Status values.
+// a listening acceptor. Blocking I/O with EINTR handling (a connect can
+// also run non-blocking); all failures are reported as Status values.
 #pragma once
+
+#include <poll.h>
 
 #include <chrono>
 #include <cstddef>
@@ -13,6 +15,12 @@
 #include "reldev/util/result.hpp"
 
 namespace reldev::net::tcp {
+
+/// poll() `fds` until one is ready (the count) or `deadline` passes (0);
+/// -1 on a poll error. Without a deadline, waits indefinitely.
+[[nodiscard]] int poll_until(
+    std::span<pollfd> fds,
+    std::optional<std::chrono::steady_clock::time_point> deadline);
 
 /// A connected stream socket. Move-only; closes on destruction.
 class Socket {
@@ -32,6 +40,19 @@ class Socket {
   static Result<Socket> connect(
       const std::string& host, std::uint16_t port,
       std::optional<std::chrono::milliseconds> timeout = std::nullopt);
+
+  /// Begin a non-blocking connect and return at once, so one thread can
+  /// connect to many peers under one deadline. The socket polls writable
+  /// (POLLOUT) once the handshake has ended either way. A refused connect
+  /// may fail here already, as kUnavailable.
+  static Result<Socket> start_connect(const std::string& host,
+                                      std::uint16_t port);
+
+  /// Wait until the handshake of a start_connect() has ended, or until
+  /// `deadline` (kUnavailable "timed out"). Ok leaves the socket blocking;
+  /// a failed handshake is kUnavailable naming the error.
+  [[nodiscard]] Status finish_connect(
+      std::optional<std::chrono::steady_clock::time_point> deadline);
 
   /// Bound every subsequent recv/send. A recv that exceeds the bound fails
   /// with kUnavailable ("timed out") instead of hanging; zero or negative

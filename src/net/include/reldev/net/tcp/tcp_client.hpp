@@ -1,24 +1,28 @@
 // Client side of the TCP message protocol: a channel that sends one framed
-// Message and blocks for the framed reply, reconnecting on demand; and a
+// Message and waits for the framed reply, reconnecting on demand; and a
 // Transport implementation that routes per-site over such channels so the
 // same protocol engines that run in-process can run across real processes.
 //
 // Concurrency: a channel keeps a small pool of connections per endpoint, so
 // concurrent calls to the same peer each get their own socket instead of
-// serializing on one mutex. The transport fans multicasts out over the
-// shared FanOut pool and gathers replies as they land; an EarlyStop
-// predicate lets a quorum return before the stragglers, whose late replies
-// are still metered.
+// serializing on one mutex. Every peer round trip runs on the calling
+// thread: a multicast writes the request to every peer first, then waits
+// on all their sockets with one poll() and one deadline, gathering replies
+// as they land. An EarlyStop predicate lets a quorum return before the
+// stragglers; those go to the transport's one reaper thread, which reads
+// and meters their late replies.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "reldev/net/fanout.hpp"
 #include "reldev/net/tcp/framing.hpp"
 #include "reldev/net/transport.hpp"
 #include "reldev/util/thread_annotations.hpp"
@@ -42,51 +46,63 @@ struct Endpoint {
 [[nodiscard]] Result<std::vector<Endpoint>> parse_endpoints(
     const std::string& text);
 
-/// Bounds on the per-endpoint idle-connection pool.
-struct PoolOptions {
-  /// Idle sockets kept per endpoint; releases beyond the cap close the
-  /// socket. Enough for the fan-out concurrency a small replica group
-  /// generates.
-  std::size_t max_idle = 8;
-  /// Idle sockets older than this are evicted instead of reused — a
-  /// connection parked across a server restart or NAT timeout fails its
-  /// first write anyway, so don't let them pile up. Zero disables age
-  /// eviction.
-  std::chrono::milliseconds max_idle_age{30000};
-};
+/// Idle sockets a channel keeps parked; a release beyond the cap closes
+/// the socket. Enough for the concurrency a small replica group generates.
+inline constexpr std::size_t kMaxIdleSockets = 8;
 
 /// One logical connection to a server, backed by a pool of sockets so
 /// concurrent calls proceed in parallel.
 class TcpChannel {
  public:
-  TcpChannel(std::string host, std::uint16_t port,
-             std::chrono::milliseconds timeout = kDefaultCallTimeout,
-             const PoolOptions& pool = PoolOptions{});
+  using Clock = std::chrono::steady_clock;
 
-  /// Send `request`, wait for the reply, bounded by the channel timeout.
-  /// Reconnects and retries ONLY while the request was provably not
-  /// delivered (the frame write failed on a stale pooled socket); once the
-  /// frame is fully written the request may be executing, so a reply
-  /// failure is surfaced instead of replayed — at-most-once per call.
-  /// Retrying a possibly-executed request is the caller's decision (see
-  /// core::RetryPolicy). Deadline overruns are kUnavailable; a CRC-
-  /// rejected reply is the typed kCorruption.
+  TcpChannel(std::string host, std::uint16_t port,
+             std::chrono::milliseconds timeout = kDefaultCallTimeout);
+
+  /// Send `request` and wait for the reply, bounded by the channel timeout
+  /// (or by `deadline`): send(), then advance() until the reply is in. At
+  /// most once: a request is retried on another socket only while it
+  /// provably was not delivered, and a reply failure is surfaced instead
+  /// of replayed. Retrying a possibly-executed request is the caller's
+  /// decision (see core::RetryPolicy). Deadline overruns are kUnavailable;
+  /// a CRC-rejected reply is the typed kCorruption.
   [[nodiscard]] Result<Message> call(const Message& request);
+  [[nodiscard]] Result<Message> call(const Message& request,
+                                     Clock::time_point deadline);
+
+  /// A request between send() and its reply. While `connecting`, a new
+  /// connection is in its handshake and the request is not written yet
+  /// (the socket polls POLLOUT when that ends); otherwise the request is
+  /// out (the socket polls POLLIN when the reply comes).
+  struct Pending {
+    Socket socket;
+    bool connecting = false;
+  };
+
+  /// Step one of a call: write `frame` (an encoded Message) on an idle
+  /// pooled socket that is still open, or begin a new connection for it
+  /// without waiting for the handshake. An idle socket that polls readable
+  /// has seen EOF or a reset and is closed unused. A pooled socket whose
+  /// write fails is dropped and the next one tried: the server decodes
+  /// nothing until a whole frame is in, so the request cannot have run.
+  [[nodiscard]] Result<Pending> send(std::span<const std::byte> frame,
+                                     Clock::time_point deadline)
+      RELDEV_EXCLUDES(mutex_);
+
+  /// Step two, best called once `pending`'s socket polls ready; it blocks
+  /// until `deadline` at most. A connecting request finishes its connect
+  /// and is written: nullopt, the reply is next. A written one reads its
+  /// reply and returns the socket to the pool.
+  [[nodiscard]] std::optional<Result<Message>> advance(
+      Pending& pending, std::span<const std::byte> frame,
+      Clock::time_point deadline) RELDEV_EXCLUDES(mutex_);
 
   /// Drop all idle pooled connections (next calls reconnect). Calls in
   /// flight keep their sockets.
   void disconnect() RELDEV_EXCLUDES(mutex_);
 
-  void set_timeout(std::chrono::milliseconds timeout) RELDEV_EXCLUDES(mutex_);
-  [[nodiscard]] std::chrono::milliseconds timeout() const
-      RELDEV_EXCLUDES(mutex_);
-
-  /// Replace the pool bounds. Applies to future acquire/release decisions;
-  /// surplus idle sockets are trimmed immediately.
-  void set_pool_options(const PoolOptions& pool) RELDEV_EXCLUDES(mutex_);
-
-  /// Calls served by a pooled socket vs. a fresh connect. A stale pooled
-  /// socket that fails and forces a reconnect counts as both a hit (it was
+  /// Calls served by a pooled socket vs. a fresh connect. A pooled socket
+  /// whose write fails and forces a reconnect counts as both a hit (it was
   /// tried) and a miss (the connect that replaced it).
   [[nodiscard]] std::uint64_t pool_hits() const noexcept {
     return pool_hits_.load();
@@ -98,28 +114,18 @@ class TcpChannel {
   [[nodiscard]] std::size_t idle_connections() const RELDEV_EXCLUDES(mutex_);
 
  private:
-  /// Pop an idle pooled socket, or connect a fresh one within `remaining`.
-  /// `pooled` reports which happened (pooled sockets may be stale). The
-  /// connect itself runs outside the lock — only the pool is guarded.
-  [[nodiscard]] Result<Socket> acquire(bool& pooled, std::chrono::milliseconds remaining)
-      RELDEV_EXCLUDES(mutex_);
+  /// Pop the newest idle socket, if any.
+  [[nodiscard]] std::optional<Socket> take_idle() RELDEV_EXCLUDES(mutex_);
   void release(Socket socket) RELDEV_EXCLUDES(mutex_);
-
-  /// An idle pooled socket and when it was parked (for age eviction).
-  struct IdleSocket {
-    Socket socket;
-    std::chrono::steady_clock::time_point since;
-  };
-
-  /// Drop idle entries older than the age bound or beyond the size cap.
-  void evict_locked() RELDEV_REQUIRES(mutex_);
+  [[nodiscard]] Result<Message> receive(Socket socket,
+                                        Clock::time_point deadline);
+  [[nodiscard]] std::string address() const;
 
   std::string host_;
   std::uint16_t port_;
+  const std::chrono::milliseconds timeout_;
   mutable Mutex mutex_{"TcpChannel.pool"};
-  std::chrono::milliseconds timeout_ RELDEV_GUARDED_BY(mutex_);
-  PoolOptions pool_ RELDEV_GUARDED_BY(mutex_);
-  std::vector<IdleSocket> idle_ RELDEV_GUARDED_BY(mutex_);
+  std::vector<Socket> idle_ RELDEV_GUARDED_BY(mutex_);
   std::atomic<std::uint64_t> pool_hits_{0};
   std::atomic<std::uint64_t> pool_misses_{0};
 };
@@ -130,29 +136,27 @@ class TcpChannel {
 /// discarded, preserving the engines' semantics (TCP servers always reply).
 class TcpPeerTransport final : public Transport {
  public:
-  TcpPeerTransport() = default;
+  TcpPeerTransport();
 
-  /// Waits for every in-flight fan-out task (including early-stop
-  /// stragglers) before destroying the channels they use.
+  /// Waits for every straggler handed to the reaper (each bounded by its
+  /// round's deadline) before the channels and the meter may go.
   ~TcpPeerTransport() override;
 
   void set_endpoint(SiteId site, const std::string& host, std::uint16_t port)
       RELDEV_EXCLUDES(mutex_);
 
-  /// Per-call deadline applied to every channel (existing and future).
+  /// Deadline of every call, and the one deadline of every multicast
+  /// round.
   void set_call_timeout(std::chrono::milliseconds timeout)
       RELDEV_EXCLUDES(mutex_);
-
-  /// Pool bounds applied to every channel (existing and future).
-  void set_pool_options(const PoolOptions& pool) RELDEV_EXCLUDES(mutex_);
 
   /// Pool hit/miss totals aggregated across all per-site channels.
   [[nodiscard]] std::uint64_t pool_hits() const RELDEV_EXCLUDES(mutex_);
   [[nodiscard]] std::uint64_t pool_misses() const RELDEV_EXCLUDES(mutex_);
 
   /// The meter must outlive this transport: straggler replies are counted
-  /// from worker threads until the destructor has drained them. Atomic —
-  /// fan-out workers read it concurrently with this setter.
+  /// on the reaper thread until the destructor has drained it. Atomic —
+  /// concurrent calls read it while this setter runs.
   void set_traffic_meter(TrafficMeter* meter) noexcept {
     meter_.store(meter, std::memory_order_release);
   }
@@ -168,25 +172,21 @@ class TcpPeerTransport final : public Transport {
                                           const EarlyStop& early_stop) override;
 
  private:
-  std::shared_ptr<TcpChannel> channel(SiteId site) RELDEV_EXCLUDES(mutex_);
+  class Reaper;
+
   void count(std::uint64_t transmissions) const;
-  /// Channels for every member of `to` except `from` that has an endpoint.
-  std::vector<std::pair<SiteId, std::shared_ptr<TcpChannel>>> channels_for(
-      SiteId from, const SiteSet& to) RELDEV_EXCLUDES(mutex_);
 
   mutable Mutex mutex_{"TcpPeerTransport.mutex"};
   std::map<SiteId, std::shared_ptr<TcpChannel>> channels_
       RELDEV_GUARDED_BY(mutex_);
   std::chrono::milliseconds call_timeout_ RELDEV_GUARDED_BY(mutex_){
       kDefaultCallTimeout};
-  PoolOptions pool_options_ RELDEV_GUARDED_BY(mutex_);
   std::atomic<TrafficMeter*> meter_{nullptr};
 
-  // Outstanding fan-out tasks; the destructor blocks until zero so no task
-  // can touch a dead channel or meter.
-  Mutex outstanding_mutex_ RELDEV_ACQUIRED_AFTER(mutex_){"TcpPeerTransport.outstanding"};
-  CondVar outstanding_cv_;
-  std::size_t outstanding_ RELDEV_GUARDED_BY(outstanding_mutex_) = 0;
+  // Started by the first early stop; null after that only if it could not
+  // start, in which case rounds finish their stragglers themselves.
+  std::once_flag reaper_once_;
+  std::unique_ptr<Reaper> reaper_;
 };
 
 }  // namespace reldev::net::tcp

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 
@@ -20,12 +19,6 @@
 #include "reldev/net/transport.hpp"
 
 namespace reldev::net::tcp {
-
-struct ServerOptions {
-  /// Close connections idle at a frame boundary for this long. Zero
-  /// disables the idle reaper.
-  std::chrono::milliseconds idle_timeout{0};
-};
 
 /// Frame counters. All monotonic except active_connections.
 struct ServerCounters {
@@ -47,12 +40,7 @@ class TcpServer {
   /// request to `handler`. The handler must be thread-safe or internally
   /// serialized; it must outlive the server.
   static Result<std::unique_ptr<TcpServer>> start(std::uint16_t port,
-                                                  MessageHandler* handler,
-                                                  const ServerOptions& options);
-  static Result<std::unique_ptr<TcpServer>> start(std::uint16_t port,
-                                                  MessageHandler* handler) {
-    return start(port, handler, ServerOptions{});
-  }
+                                                  MessageHandler* handler);
 
   ~TcpServer();
   TcpServer(const TcpServer&) = delete;

@@ -22,10 +22,11 @@ const char* op_kind_name(OpKind kind) noexcept;
 
 /// Counts transmissions per OpKind. The protocol engines set the current
 /// operation before doing work; the transport reports transmissions here.
-/// Counters are atomic: with parallel fan-out, worker threads report
-/// concurrently, and stragglers past an early-stop quorum report *after*
-/// the operation returned — under the OpKind captured when the fan-out was
-/// dispatched (add_for), so late replies land in the right bucket.
+/// Counters are atomic: concurrent operations report at once, and
+/// stragglers past an early-stop quorum report *after* the operation
+/// returned, from the transport's reaper thread — under the OpKind captured
+/// when the round was sent (add_for), so late replies land in the right
+/// bucket.
 class TrafficMeter {
  public:
   void set_current_op(OpKind kind) noexcept {

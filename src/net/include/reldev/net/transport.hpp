@@ -33,9 +33,9 @@ using GatherReply = std::pair<SiteId, Message>;
 /// returns immediately. Stragglers still complete in the background — the
 /// request already went out to everyone, so their replies are still
 /// transmitted and must still be metered — but they are not appended to
-/// the returned vector. Transports may invoke the predicate from the
-/// gathering thread while holding an internal lock: it must be fast and
-/// must not call back into the transport.
+/// the returned vector. The predicate runs on the caller's thread, after
+/// each reply, with no transport lock held; it should be cheap, since the
+/// gather waits on it.
 using EarlyStop = std::function<bool(const std::vector<GatherReply>&)>;
 
 class Transport {

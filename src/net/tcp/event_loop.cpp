@@ -17,11 +17,10 @@
 #include <array>
 #include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <deque>
-#include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -46,70 +45,6 @@ struct PendingOp {
   unsigned iov_count = 0;
   EventLoop::IoHandler io_handler;
   EventLoop::AcceptHandler accept_handler;
-};
-
-/// Min-heap of one-shot timers with lazy cancellation (cancelled ids stay
-/// in the heap and are skipped when they surface). Loop-thread-only.
-class TimerHeap {
- public:
-  using Clock = std::chrono::steady_clock;
-
-  EventLoop::TimerId add(std::chrono::milliseconds delay,
-                         EventLoop::Task task) {
-    const EventLoop::TimerId id = next_id_++;
-    heap_.push_back(Entry{Clock::now() + delay, id, std::move(task)});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    return id;
-  }
-
-  void cancel(EventLoop::TimerId id) { cancelled_.insert(id); }
-
-  /// Milliseconds until the nearest live timer (>= 0), or nullopt when no
-  /// timers are armed.
-  [[nodiscard]] std::optional<int> next_timeout_ms() {
-    drop_cancelled_top();
-    if (heap_.empty()) return std::nullopt;
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        heap_.front().deadline - Clock::now());
-    return static_cast<int>(std::max<std::int64_t>(remaining.count(), 0));
-  }
-
-  /// Pop every timer due now, in deadline order.
-  [[nodiscard]] std::vector<EventLoop::Task> take_due() {
-    std::vector<EventLoop::Task> due;
-    const auto now = Clock::now();
-    for (;;) {
-      drop_cancelled_top();
-      if (heap_.empty() || heap_.front().deadline > now) break;
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      due.push_back(std::move(heap_.back().task));
-      heap_.pop_back();
-    }
-    return due;
-  }
-
- private:
-  struct Entry {
-    Clock::time_point deadline;
-    EventLoop::TimerId id;
-    EventLoop::Task task;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      return a.deadline > b.deadline;
-    }
-  };
-
-  void drop_cancelled_top() {
-    while (!heap_.empty() && cancelled_.erase(heap_.front().id) > 0) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
-    }
-  }
-
-  std::vector<Entry> heap_;
-  std::unordered_set<EventLoop::TimerId> cancelled_;
-  EventLoop::TimerId next_id_ = 1;
 };
 
 Status errno_status(const char* what) {
@@ -180,15 +115,12 @@ class EventLoop::Impl {
   void run() {
     while (!stopping_.load(std::memory_order_acquire)) {
       drain_posted();
-      for (auto& task : timers_.take_due()) task();
       dispatch_ready();
       if (stopping_.load(std::memory_order_acquire)) break;
 
-      const auto timeout = timers_.next_timeout_ms();
       std::array<epoll_event, 128> events;
       const int n = ::epoll_wait(epoll_fd_, events.data(),
-                                 static_cast<int>(events.size()),
-                                 timeout.value_or(-1));
+                                 static_cast<int>(events.size()), -1);
       if (n < 0) {
         if (errno == EINTR) continue;
         RELDEV_WARN("event-loop") << "epoll_wait: " << std::strerror(errno);
@@ -253,12 +185,6 @@ class EventLoop::Impl {
       if (ready.op != nullptr && ready.op->fd == fd) ready.op.reset();
     }
   }
-
-  TimerId add_timer(std::chrono::milliseconds delay, Task task) {
-    return timers_.add(delay, std::move(task));
-  }
-
-  void cancel_timer(TimerId id) { timers_.cancel(id); }
 
  private:
   /// Per-fd reactor state. `read_ready`/`write_ready` are the userspace
@@ -442,7 +368,6 @@ class EventLoop::Impl {
   FdMap fds_;
   std::deque<ReadyCompletion> ready_;
   std::vector<std::unique_ptr<PendingOp>> op_pool_;
-  TimerHeap timers_;
 };
 
 Result<std::unique_ptr<EventLoop>> EventLoop::create() {
@@ -469,10 +394,5 @@ void EventLoop::async_writev(int fd, std::span<const iovec> iov,
   impl_->async_writev(fd, iov, std::move(on_done));
 }
 void EventLoop::cancel(int fd) { impl_->cancel(fd); }
-EventLoop::TimerId EventLoop::add_timer(std::chrono::milliseconds delay,
-                                        Task task) {
-  return impl_->add_timer(delay, std::move(task));
-}
-void EventLoop::cancel_timer(TimerId id) { impl_->cancel_timer(id); }
 
 }  // namespace reldev::net::tcp

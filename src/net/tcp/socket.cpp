@@ -35,6 +35,22 @@ Result<sockaddr_in> make_address(const std::string& host, std::uint16_t port) {
 
 }  // namespace
 
+int poll_until(std::span<pollfd> fds,
+               std::optional<std::chrono::steady_clock::time_point> deadline) {
+  lockdep::check_blocking("poll");
+  for (;;) {
+    int timeout_ms = -1;
+    if (deadline.has_value()) {
+      const auto remaining = std::chrono::ceil<std::chrono::milliseconds>(
+          *deadline - std::chrono::steady_clock::now());
+      if (remaining.count() <= 0) return 0;
+      timeout_ms = static_cast<int>(remaining.count());
+    }
+    const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
+    if (ready >= 0 || errno != EINTR) return ready;
+  }
+}
+
 Socket::~Socket() { close(); }
 
 Socket::Socket(Socket&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
@@ -48,61 +64,57 @@ Socket& Socket::operator=(Socket&& other) noexcept {
   return *this;
 }
 
-Result<Socket> Socket::connect(const std::string& host, std::uint16_t port,
-                               std::optional<std::chrono::milliseconds> timeout) {
-  lockdep::check_blocking("connect");
+Result<Socket> Socket::start_connect(const std::string& host,
+                                     std::uint16_t port) {
   auto addr = make_address(host, port);
   if (!addr) return addr.status();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) return errno_status("socket");
   Socket socket(fd);
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  const auto unavailable = [&](const std::string& why) {
-    return errors::unavailable("connect to " + host + ":" +
-                               std::to_string(port) + ": " + why);
-  };
-  if (!timeout.has_value()) {
-    int rc;
-    do {
-      rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr.value()),
-                     sizeof(sockaddr_in));
-    } while (rc < 0 && errno == EINTR);
-    if (rc < 0) return unavailable(std::strerror(errno));
-    return socket;
-  }
-  // Bounded connect: non-blocking connect, poll for writability, then read
-  // the final outcome from SO_ERROR.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return errno_status("fcntl");
-  }
   int rc;
   do {
     rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr.value()),
                    sizeof(sockaddr_in));
   } while (rc < 0 && errno == EINTR);
-  if (rc < 0 && errno != EINPROGRESS) return unavailable(std::strerror(errno));
-  if (rc < 0) {
-    pollfd waiter{fd, POLLOUT, 0};
-    const auto deadline = std::chrono::steady_clock::now() + *timeout;
-    for (;;) {
-      const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      if (remaining.count() <= 0) return unavailable("timed out");
-      rc = ::poll(&waiter, 1, static_cast<int>(remaining.count()));
-      if (rc > 0) break;
-      if (rc == 0) return unavailable("timed out");
-      if (errno != EINTR) return errno_status("poll");
-    }
-    int error = 0;
-    socklen_t len = sizeof(error);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &len) < 0) {
-      return errno_status("getsockopt");
-    }
-    if (error != 0) return unavailable(std::strerror(error));
+  if (rc < 0 && errno != EINPROGRESS) {
+    return errors::unavailable(std::strerror(errno));
   }
-  if (::fcntl(fd, F_SETFL, flags) < 0) return errno_status("fcntl");
+  return socket;
+}
+
+Status Socket::finish_connect(
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
+  RELDEV_EXPECTS(valid());
+  pollfd waiter{fd_, POLLOUT, 0};
+  const int ready = poll_until(std::span<pollfd>(&waiter, 1), deadline);
+  if (ready == 0) return errors::unavailable("timed out");
+  if (ready < 0) return errno_status("poll");
+  int error = 0;
+  socklen_t len = sizeof(error);
+  if (::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &error, &len) < 0) {
+    return errno_status("getsockopt");
+  }
+  if (error != 0) return errors::unavailable(std::strerror(error));
+  return set_nonblocking(false);
+}
+
+Result<Socket> Socket::connect(const std::string& host, std::uint16_t port,
+                               std::optional<std::chrono::milliseconds> timeout) {
+  lockdep::check_blocking("connect");
+  std::optional<std::chrono::steady_clock::time_point> deadline;
+  if (timeout.has_value()) {
+    deadline = std::chrono::steady_clock::now() + *timeout;
+  }
+  auto socket = start_connect(host, port);
+  Status status = socket ? socket.value().finish_connect(deadline)
+                         : socket.status();
+  if (status.code() == ErrorCode::kUnavailable) {
+    return errors::unavailable("connect to " + host + ":" +
+                               std::to_string(port) + ": " + status.message());
+  }
+  if (!status.is_ok()) return status;
   return socket;
 }
 

@@ -44,10 +44,9 @@ void count_bad_frame(const Status& status, ServerCounters& counters) {
 class TcpServer::Impl {
  public:
   Impl(Acceptor acceptor, MessageHandler* handler, ServerCounters* counters,
-       const ServerOptions& options,
        std::vector<std::unique_ptr<EventLoop>> loops)
       : acceptor_(std::move(acceptor)), handler_(handler),
-        counters_(counters), options_(options) {
+        counters_(counters) {
     shards_.reserve(loops.size());
     for (auto& loop : loops) {
       shards_.push_back(std::make_unique<Shard>());
@@ -122,9 +121,6 @@ class TcpServer::Impl {
     std::vector<std::byte> write_payload;
     std::array<std::byte, kFrameTrailerSize> write_trailer{};
     std::size_t write_off = 0;
-    // Bumped on every completed read/write; the idle reaper closes the
-    // connection when a full idle_timeout passes without a bump.
-    std::uint64_t activity = 0;
 
     void close() {
       if (closed) return;
@@ -164,7 +160,6 @@ class TcpServer::Impl {
         return;
       }
       read_off += n.value();
-      ++activity;
       if (!reading_body) {
         if (read_off < kFramePrefixSize) {
           arm_read();
@@ -281,7 +276,6 @@ class TcpServer::Impl {
         return;
       }
       write_off += n.value();
-      ++activity;
       const std::size_t total = write_prefix.size() + write_payload.size() +
                                 write_trailer.size();
       if (write_off < total) {
@@ -291,20 +285,6 @@ class TcpServer::Impl {
       write_payload.clear();
       write_payload.shrink_to_fit();
       arm_read();  // next request
-    }
-
-    void arm_idle_timer() {
-      auto self = shared_from_this();
-      const std::uint64_t seen = activity;
-      shard->loop->add_timer(self->server->options_.idle_timeout,
-                             [self, seen] {
-                               if (self->closed) return;
-                               if (self->activity == seen) {
-                                 self->close();
-                                 return;
-                               }
-                               self->arm_idle_timer();
-                             });
     }
   };
 
@@ -349,7 +329,6 @@ class TcpServer::Impl {
       conn->shard = shard;
       conn->fd = fd;
       shard->conns.emplace(fd, conn);
-      if (options_.idle_timeout.count() > 0) conn->arm_idle_timer();
       conn->arm_read();
     });
   }
@@ -358,19 +337,16 @@ class TcpServer::Impl {
   const std::uint16_t port_ = acceptor_.port();
   MessageHandler* handler_;
   ServerCounters* counters_;
-  const ServerOptions options_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::size_t> next_shard_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
-  // The server's own pool, never FanOut::shared(): handlers block on
-  // fan-out tasks queued there, so sharing it would starve both. Sized
-  // FanOut::default_thread_count(); destroyed (drained) by stop().
+  // Handlers run here, never on a loop shard: they block on storage and on
+  // peer round trips. Default size; destroyed (drained) by stop().
   std::unique_ptr<FanOut> pool_ = std::make_unique<FanOut>();
 };
 
-Result<std::unique_ptr<TcpServer>> TcpServer::start(
-    std::uint16_t port, MessageHandler* handler,
-    const ServerOptions& options) {
+Result<std::unique_ptr<TcpServer>> TcpServer::start(std::uint16_t port,
+                                                    MessageHandler* handler) {
   RELDEV_EXPECTS(handler != nullptr);
   auto acceptor = Acceptor::listen(port);
   if (!acceptor) return acceptor.status();
@@ -388,7 +364,7 @@ Result<std::unique_ptr<TcpServer>> TcpServer::start(
     loops.push_back(std::move(loop).value());
   }
   server->impl_ = std::make_unique<Impl>(std::move(acceptor).value(), handler,
-                                         &server->counters_, options,
+                                         &server->counters_,
                                          std::move(loops));
   return server;
 }

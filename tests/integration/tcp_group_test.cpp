@@ -166,6 +166,24 @@ TEST_F(TcpGroupTest, KilledSiteRestartsOnItsPortAndRecoversFromItsFile) {
   EXPECT_EQ(stub.value().last_server(), 2u);
 }
 
+TEST_F(TcpGroupTest, SiteRestartedWithNoTrafficTakesTheNextWrite) {
+  // Sites 0 and 1 each park a socket to site 2. Once site 2 restarts,
+  // those sockets are half-closed: the next write must not be sent into
+  // one and lost, leaving site 2 to serve the old value.
+  ASSERT_TRUE(sites_[0]->replica().write(1, payload(kBlockSize, 30)).is_ok());
+  ASSERT_TRUE(sites_[1]->replica().write(1, payload(kBlockSize, 31)).is_ok());
+  sites_[2]->kill();
+  const Status restarted = sites_[2]->restart();
+  ASSERT_TRUE(restarted.is_ok()) << restarted.to_string();
+
+  const auto v3 = payload(kBlockSize, 33);
+  ASSERT_TRUE(sites_[0]->replica().write(1, v3).is_ok());
+  EXPECT_EQ(sites_[2]->store().read(1).value().data, v3);
+  auto stub = DriverStub::connect(transport_, 100, {2});
+  ASSERT_TRUE(stub.is_ok()) << stub.status().to_string();
+  EXPECT_EQ(stub.value().read_block(1).value(), v3);
+}
+
 TEST_F(TcpGroupTest, FailedReplicaAnswersNothing) {
   replicas_[1]->crash();
   // Direct client call to the failed site: server responds with an error

@@ -61,17 +61,6 @@ TEST(FanOutTest, TasksRunConcurrently) {
   EXPECT_EQ(finished.load(), 4);
 }
 
-TEST(FanOutTest, SharedPoolIsUsable) {
-  std::atomic<bool> ran{false};
-  FanOut::shared().submit([&ran] { ran.store(true); });
-  const auto deadline = Clock::now() + 5s;
-  while (!ran.load() && Clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_TRUE(ran.load());
-  EXPECT_GE(FanOut::shared().thread_count(), 1u);
-}
-
 TEST(TrafficMeterConcurrencyTest, ConcurrentAddForIsLossless) {
   TrafficMeter meter;
   constexpr int kThreads = 8;

@@ -2,10 +2,16 @@
 // multicast round costs the slowest peer (not the sum), an early-stop
 // quorum returns before the straggler (whose reply is still metered), and
 // a dead peer costs one bounded deadline instead of a hang.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 
 #include "reldev/net/tcp/tcp_client.hpp"
@@ -123,6 +129,71 @@ TEST(TcpFanOutTest, DeadPeerCostsOneBoundedTimeout) {
 
   auto direct = transport.call(0, 2, Message{0, StateInquiry{}});
   EXPECT_EQ(direct.status().code(), reldev::ErrorCode::kUnavailable);
+}
+
+TEST(TcpFanOutTest, HandshakeThatNeverCompletesDoesNotStarveLivePeers) {
+  // A listener with backlog 0 whose one queued connection is never
+  // accepted: the kernel drops later SYNs, so a connect to it hangs.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 0), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  const std::uint16_t stuck_port = ntohs(addr.sin_port);
+  auto filler = Socket::connect("127.0.0.1", stuck_port, 1000ms);
+  ASSERT_TRUE(filler.is_ok()) << filler.status().to_string();
+
+  DelayHandler fast(0ms);
+  auto live = TcpServer::start(0, &fast).value();
+  constexpr auto kCallTimeout = 2000ms;
+  {
+    TcpPeerTransport transport;
+    transport.set_call_timeout(kCallTimeout);
+    transport.set_endpoint(1, "127.0.0.1", stuck_port);  // contacted first
+    transport.set_endpoint(2, "127.0.0.1", live->port());
+
+    const auto start = Clock::now();
+    auto replies = transport.multicast_call(
+        0, SiteSet{1, 2}, Message{0, StateInquiry{}},
+        [](const std::vector<GatherReply>& so_far) { return !so_far.empty(); });
+    const auto elapsed = elapsed_since(start);
+
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(replies[0].first, 2u);
+    // Connects run side by side under the round's one deadline; one after
+    // the other, the live peer would wait out the stuck handshake.
+    EXPECT_LT(elapsed, kCallTimeout / 2) << "stuck connect delayed the gather";
+  }
+  ::close(listener);
+}
+
+TEST(TcpFanOutTest, GathersRunOnTheCallingThread) {
+  DelayHandler fast(0ms);
+  DelayHandler slow(2ms);
+  auto s1 = TcpServer::start(0, &fast).value();
+  auto s2 = TcpServer::start(0, &slow).value();
+  TcpPeerTransport transport;
+  transport.set_endpoint(1, "127.0.0.1", s1->port());
+  transport.set_endpoint(2, "127.0.0.1", s2->port());
+
+  const auto threads = [] {
+    return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                         std::filesystem::directory_iterator{});
+  };
+  const auto before = threads();
+  for (int round = 0; round < 100; ++round) {
+    auto replies = transport.multicast_call(
+        0, SiteSet{1, 2}, Message{0, StateInquiry{}},
+        [](const std::vector<GatherReply>& so_far) { return !so_far.empty(); });
+    ASSERT_EQ(replies.size(), 1u);
+  }
+  // The only thread a gather may start is the transport's straggler reaper.
+  EXPECT_LE(threads(), before + 1);
 }
 
 TEST(TcpFanOutTest, ConcurrentCallsToOnePeerDoNotSerialize) {

@@ -136,6 +136,23 @@ TEST_F(TcpServerModeTest, ChannelReconnectsAfterDisconnect) {
   EXPECT_EQ(handler.calls.load(), 2);
 }
 
+TEST_F(TcpServerModeTest, ChannelReachesServerRestartedOnItsPort) {
+  // The pooled socket from the first call is half-closed once the server
+  // stops: a write to it still succeeds and only the reply read fails. The
+  // channel must drop it before use instead of sending the request into it.
+  EchoHandler handler;
+  auto server = start_server(&handler).value();
+  const std::uint16_t port = server->port();
+  TcpChannel channel("127.0.0.1", port);
+  ASSERT_TRUE(channel.call(Message{1, StateInquiry{}}).is_ok());
+  server->stop();
+  auto restarted = TcpServer::start(port, &handler);
+  ASSERT_TRUE(restarted.is_ok()) << restarted.status().to_string();
+  auto reply = channel.call(Message{1, StateInquiry{}});
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_EQ(handler.calls.load(), 2);
+}
+
 TEST_F(TcpServerModeTest, CallAfterServerStopFails) {
   EchoHandler handler;
   auto server = start_server(&handler).value();
