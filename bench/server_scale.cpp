@@ -1,13 +1,19 @@
 // SCALE: concurrent-connection scaling of the production TCP server.
-// A non-blocking load generator (its own EventLoop shards, so 4k client
-// connections don't need 4k threads) drives closed-loop StateInquiry
-// round trips over C concurrent connections against TcpServer with its
-// default options — the configuration the daemon runs — and reports
-// ops/sec and p50/p99 latency per rung. The handler replies at once, so
-// this is a close-up of the server's framing, loop-to-pool handoff and
+// A non-blocking load generator (two threads, each with a private epoll
+// set, so 4k client connections don't need 4k threads) drives closed-loop
+// StateInquiry round trips over C concurrent connections against
+// TcpServer — the configuration the daemon runs — and reports ops/sec
+// and p50/p99 latency per rung. The handler replies at once, so this is a
+// close-up of the server's framing, epoll hand-off between workers and
 // reply path, not of replica work. Gate: every rung completes without a
 // connection error.
+#include <sys/epoll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
+#include <cerrno>
 #include <atomic>
 #include <chrono>
 #include <fstream>
@@ -17,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "reldev/net/tcp/event_loop.hpp"
 #include "reldev/net/tcp/tcp_client.hpp"
 #include "reldev/net/tcp/tcp_server.hpp"
 #include "reldev/util/flags.hpp"
@@ -61,9 +66,10 @@ struct Summary {
   std::uint64_t errors = 0;
 };
 
-/// Closed-loop load generator: C connections spread over a few event-loop
-/// shards, each running write-request → read-reply → repeat. Latencies are
-/// recorded only while `recording_` is set, so warmup rounds (connection
+/// Closed-loop load generator: C connections spread over a few generator
+/// threads, each with a private edge-triggered epoll set, each connection
+/// running write-request → read-reply → repeat. Latencies are recorded
+/// only while `recording_` is set, so warmup rounds (connection
 /// establishment, server-side buffer pools filling) stay out of the
 /// percentiles.
 class LoadGen {
@@ -71,9 +77,7 @@ class LoadGen {
   LoadGen(std::uint16_t port, std::size_t connections, std::size_t shard_count)
       : port_(port), connections_(connections), frame_(build_request_frame()) {
     for (std::size_t i = 0; i < shard_count; ++i) {
-      auto shard = std::make_unique<Shard>();
-      shard->loop = net::tcp::EventLoop::create().value();
-      shards_.push_back(std::move(shard));
+      shards_.push_back(std::make_unique<Shard>());
     }
   }
 
@@ -93,28 +97,16 @@ class LoadGen {
 
   void start() {
     for (auto& shard : shards_) {
-      shard->thread = std::thread([this, raw = shard.get()] {
-        // Arm every connection from the loop thread, then run.
-        raw->loop->post([this, raw] {
-          for (auto& conn : raw->conns) start_op(*raw, *conn);
-        });
-        raw->loop->run();
-      });
+      shard->thread = std::thread([this, raw = shard.get()] { run(*raw); });
     }
   }
 
   void set_recording(bool on) { recording_.store(on); }
 
-  /// Stop issuing new requests, close every connection, join the loops, and
-  /// aggregate the samples taken over `measured_seconds`.
+  /// Stop issuing new requests, join the generator threads (each closes its
+  /// connections), and aggregate the samples taken over `measured_seconds`.
   [[nodiscard]] Summary finish(double measured_seconds) {
     stop_.store(true);
-    for (auto& shard : shards_) {
-      shard->loop->post([this, raw = shard.get()] {
-        for (auto& conn : raw->conns) close_conn(*raw, *conn);
-        raw->loop->stop();
-      });
-    }
     for (auto& shard : shards_) shard->thread.join();
 
     Summary summary;
@@ -147,105 +139,117 @@ class LoadGen {
     net::tcp::Socket socket;
     std::size_t write_off = 0;
     std::vector<std::byte> got;           // reply bytes accumulated so far
-    std::array<std::byte, 4096> scratch;  // readv landing zone
+    std::array<std::byte, 4096> scratch;  // recv landing zone
     Clock::time_point op_start;
     std::vector<double> latencies;  // µs, recorded while recording_ is set
     bool closed = false;
   };
   struct Shard {
-    std::unique_ptr<net::tcp::EventLoop> loop;
     std::thread thread;
-    std::vector<std::unique_ptr<Conn>> conns;  // loop-thread-only after start
+    std::vector<std::unique_ptr<Conn>> conns;  // generator-thread-only
     std::uint64_t errors = 0;
   };
 
-  void start_op(Shard& shard, Conn& conn) {
-    if (conn.closed) return;
-    if (stop_.load(std::memory_order_relaxed)) {
-      close_conn(shard, conn);
+  /// One generator thread: register every connection once (edge-triggered,
+  /// both directions), start its first request, then drive whichever
+  /// connection has an edge until stop_ is set. The 50 ms wait bound is how
+  /// the thread notices stop_.
+  void run(Shard& shard) {
+    const int epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epoll_fd < 0) {
+      shard.errors += shard.conns.size();
       return;
     }
-    conn.op_start = Clock::now();
-    conn.write_off = 0;
-    conn.got.clear();
-    arm_write(shard, conn);
-  }
-
-  void arm_write(Shard& shard, Conn& conn) {
-    const iovec iov{
-        const_cast<std::byte*>(frame_.data()) + conn.write_off,
-        frame_.size() - conn.write_off,
-    };
-    shard.loop->async_writev(conn.socket.fd(), std::span<const iovec>(&iov, 1),
-                             [this, &shard, &conn](Result<std::size_t> n) {
-                               if (!n.is_ok()) {
-                                 fail(shard, conn);
-                                 return;
-                               }
-                               conn.write_off += n.value();
-                               if (conn.write_off < frame_.size()) {
-                                 arm_write(shard, conn);
-                               } else {
-                                 arm_read(shard, conn);
-                               }
-                             });
-  }
-
-  void arm_read(Shard& shard, Conn& conn) {
-    const iovec iov{conn.scratch.data(), conn.scratch.size()};
-    shard.loop->async_readv(conn.socket.fd(), std::span<const iovec>(&iov, 1),
-                            [this, &shard, &conn](Result<std::size_t> n) {
-                              if (!n.is_ok() || n.value() == 0) {
-                                fail(shard, conn);
-                                return;
-                              }
-                              conn.got.insert(conn.got.end(),
-                                              conn.scratch.begin(),
-                                              conn.scratch.begin() +
-                                                  static_cast<std::ptrdiff_t>(
-                                                      n.value()));
-                              on_bytes(shard, conn);
-                            });
-  }
-
-  void on_bytes(Shard& shard, Conn& conn) {
-    if (conn.got.size() < net::tcp::kFramePrefixSize) {
-      arm_read(shard, conn);
-      return;
+    for (auto& conn : shard.conns) {
+      epoll_event ev{};
+      ev.events = EPOLLIN | EPOLLOUT | EPOLLET;
+      ev.data.ptr = conn.get();
+      if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, conn->socket.fd(), &ev) < 0) {
+        fail(shard, *conn);
+        continue;
+      }
+      conn->op_start = Clock::now();
+      drive(shard, *conn);
     }
+    std::array<epoll_event, 128> events;
+    while (!stop_.load(std::memory_order_relaxed)) {
+      const int n = ::epoll_wait(epoll_fd, events.data(),
+                                 static_cast<int>(events.size()), 50);
+      for (int i = 0; i < n; ++i) {
+        drive(shard, *static_cast<Conn*>(events[static_cast<std::size_t>(i)]
+                                             .data.ptr));
+      }
+    }
+    for (auto& conn : shard.conns) close_conn(*conn);
+    ::close(epoll_fd);
+  }
+
+  /// Push one connection as far as it goes without blocking: write the
+  /// request, read the reply, record it, start the next. Returns at EAGAIN
+  /// (the next edge resumes it) or when the connection fails.
+  void drive(Shard& shard, Conn& conn) {
+    while (!conn.closed) {
+      const int fd = conn.socket.fd();
+      if (conn.write_off < frame_.size()) {
+        const ssize_t n = ::send(fd, frame_.data() + conn.write_off,
+                                 frame_.size() - conn.write_off, MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR) continue;
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+        if (n < 0) {
+          fail(shard, conn);
+          return;
+        }
+        conn.write_off += static_cast<std::size_t>(n);
+        continue;
+      }
+      const ssize_t n = ::recv(fd, conn.scratch.data(), conn.scratch.size(), 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      if (n <= 0) {
+        fail(shard, conn);
+        return;
+      }
+      conn.got.insert(conn.got.end(), conn.scratch.begin(),
+                      conn.scratch.begin() + n);
+      if (!reply_complete(shard, conn)) continue;
+      if (recording_.load(std::memory_order_relaxed)) {
+        conn.latencies.push_back(
+            std::chrono::duration<double, std::micro>(Clock::now() -
+                                                      conn.op_start)
+                .count());
+      }
+      if (stop_.load(std::memory_order_relaxed)) return;
+      conn.op_start = Clock::now();
+      conn.write_off = 0;
+      conn.got.clear();
+    }
+  }
+
+  /// Whether `conn.got` holds a whole reply frame; a bad prefix fails the
+  /// connection.
+  bool reply_complete(Shard& shard, Conn& conn) {
+    if (conn.got.size() < net::tcp::kFramePrefixSize) return false;
     const auto length = net::tcp::parse_frame_prefix(
         std::span<const std::byte>(conn.got.data(),
                                    net::tcp::kFramePrefixSize));
     if (!length.is_ok()) {
       fail(shard, conn);
-      return;
+      return false;
     }
-    const std::size_t total = net::tcp::kFramePrefixSize + length.value() +
-                              net::tcp::kFrameTrailerSize;
-    if (conn.got.size() < total) {
-      arm_read(shard, conn);
-      return;
-    }
-    if (recording_.load(std::memory_order_relaxed)) {
-      conn.latencies.push_back(
-          std::chrono::duration<double, std::micro>(Clock::now() -
-                                                    conn.op_start)
-              .count());
-    }
-    start_op(shard, conn);
+    return conn.got.size() >= net::tcp::kFramePrefixSize + length.value() +
+                                  net::tcp::kFrameTrailerSize;
   }
 
   void fail(Shard& shard, Conn& conn) {
     if (!conn.closed && !stop_.load(std::memory_order_relaxed)) {
       ++shard.errors;
     }
-    close_conn(shard, conn);
+    close_conn(conn);
   }
 
-  void close_conn(Shard& shard, Conn& conn) {
+  static void close_conn(Conn& conn) {
     if (conn.closed) return;
     conn.closed = true;
-    shard.loop->cancel(conn.socket.fd());
     conn.socket.close();
   }
 

@@ -6,9 +6,9 @@
 //
 // Two consumption styles share the same layout helpers: the blocking
 // read_frame/write_frame pair (client side) and the incremental
-// prefix/payload helpers the event-loop server drives
-// from readiness callbacks (prefix parsed as soon as its 8 bytes are in,
-// CRC verified in place on the arena buffer the payload landed in).
+// prefix/payload helpers the server's workers drive on readiness (prefix
+// parsed as soon as its 8 bytes are in, CRC verified in place on the
+// arena buffer the payload landed in).
 #pragma once
 
 #include <array>

@@ -60,9 +60,10 @@ class Socket {
   void set_recv_timeout(std::chrono::milliseconds timeout) noexcept;
   void set_send_timeout(std::chrono::milliseconds timeout) noexcept;
 
-  /// Switch O_NONBLOCK on or off. Event-loop-owned sockets run non-blocking
-  /// (all waiting happens in the loop, never in a syscall); the blocking
-  /// read/write helpers below must not be used while non-blocking is set.
+  /// Switch O_NONBLOCK on or off. A socket driven by readiness runs
+  /// non-blocking (all waiting happens in poll/epoll, never in a syscall);
+  /// the blocking read/write helpers below must not be used while
+  /// non-blocking is set.
   [[nodiscard]] Status set_nonblocking(bool enabled);
 
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
@@ -101,8 +102,8 @@ class Acceptor {
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
   [[nodiscard]] int fd() const noexcept { return fd_; }
 
-  /// Switch O_NONBLOCK on the listening descriptor (the server's event
-  /// loop accepts on readiness instead of blocking in accept()).
+  /// Switch O_NONBLOCK on the listening descriptor (the server's workers
+  /// accept on readiness instead of blocking in accept()).
   [[nodiscard]] Status set_nonblocking(bool enabled);
 
   void close();

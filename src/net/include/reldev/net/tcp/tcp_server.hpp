@@ -2,12 +2,14 @@
 // them to a MessageHandler, writes the framed reply. This is the process
 // boundary of the paper's Figure 1/2 — the "user-state server".
 //
-// One execution model: hardware_concurrency epoll event-loop shards drive
-// non-blocking frame state machines, connections are assigned to shards
-// round-robin, and handlers run on the server's own pool of
-// max(8, hardware_concurrency) threads — handlers block (storage I/O,
-// fan-out to peers), so a slow request stalls one pool thread, never a
-// loop shard and the connections on it. Connection count does not imply
+// One execution model: a fixed set of max(8, hardware_concurrency) worker
+// threads waits on one epoll set. Every connection is registered
+// EPOLLONESHOT, so a ready connection belongs to exactly one worker, which
+// reads the frame, runs the handler and writes the reply on its own thread.
+// Handlers block (storage I/O, rounds to peers), so a slow request holds
+// one worker and the others serve every other connection. A reply the
+// socket cannot take at once is finished on EPOLLOUT readiness, so a client
+// that does not read holds no worker. Connection count does not imply
 // thread count.
 #pragma once
 
@@ -61,8 +63,10 @@ class TcpServer {
     return counters_.active_connections.load();
   }
 
-  /// Stop accepting, close every connection — including ones mid-request —
-  /// and join all threads. Prompt: does not wait for idle peers to go away.
+  /// Wake the workers, shut down every connection — including ones
+  /// mid-request — join the workers (each finishes at most the handler it
+  /// is running) and close the fds. Prompt: does not wait for idle peers to
+  /// go away.
   void stop();
 
  private:

@@ -2,20 +2,25 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <future>
+#include <array>
+#include <cerrno>
+#include <cstring>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "reldev/net/fanout.hpp"
-#include "reldev/net/tcp/event_loop.hpp"
 #include "reldev/util/buffer_arena.hpp"
+#include "reldev/util/lockdep.hpp"
 #include "reldev/util/logging.hpp"
+#include "reldev/util/thread_annotations.hpp"
 
 namespace reldev::net::tcp {
 
@@ -38,77 +43,95 @@ void count_bad_frame(const Status& status, ServerCounters& counters) {
   RELDEV_DEBUG("tcp-server") << "connection error: " << status.to_string();
 }
 
+Status errno_status(const char* what) {
+  return errors::io_error(std::string(what) + ": " + std::strerror(errno));
+}
+
 }  // namespace
 
-/// The server proper: event-loop shards plus the handler pool.
+/// The server proper: one epoll set and the workers that wait on it.
 class TcpServer::Impl {
  public:
-  Impl(Acceptor acceptor, MessageHandler* handler, ServerCounters* counters,
-       std::vector<std::unique_ptr<EventLoop>> loops)
+  Impl(Acceptor acceptor, MessageHandler* handler, ServerCounters* counters)
       : acceptor_(std::move(acceptor)), handler_(handler),
-        counters_(counters) {
-    shards_.reserve(loops.size());
-    for (auto& loop : loops) {
-      shards_.push_back(std::make_unique<Shard>());
-      shards_.back()->loop = std::move(loop);
-    }
-    for (auto& shard : shards_) {
-      shard->thread = std::thread([&shard] { shard->loop->run(); });
-    }
-    run_on_shard(0, [this] { arm_accept(); });
-  }
+        counters_(counters) {}
 
   ~Impl() { stop(); }
+
+  /// Build the epoll set — the listener, the stop eventfd — and start the
+  /// workers. On failure stop() releases whatever was opened.
+  Status open() {
+    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epoll_fd_ < 0) return errno_status("epoll_create1");
+    wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (wake_fd_ < 0) return errno_status("eventfd");
+    // Level-triggered and never read: once stop() writes it, every
+    // epoll_wait returns it, so one write wakes all the workers.
+    if (!watch(EPOLL_CTL_ADD, wake_fd_, nullptr, EPOLLIN)) {
+      return errno_status("epoll_ctl(eventfd)");
+    }
+    if (!watch(EPOLL_CTL_ADD, acceptor_.fd(), &acceptor_,
+               EPOLLIN | EPOLLONESHOT)) {
+      return errno_status("epoll_ctl(listener)");
+    }
+    const std::size_t count =
+        std::max<std::size_t>(8, std::thread::hardware_concurrency());
+    workers_.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      workers_.emplace_back([this] { run_worker(); });
+    }
+    return Status::ok();
+  }
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   void stop() {
     if (stopping_.exchange(true)) return;
-    // 1. Stop accepting: drop the pending accept op, close the listener.
-    run_on_shard(0, [this] { shards_[0]->loop->cancel(acceptor_.fd()); });
+    // 1. Wake every worker. A worker inside a handler finishes it first.
+    if (wake_fd_ >= 0) {
+      const std::uint64_t one = 1;
+      (void)::write(wake_fd_, &one, sizeof(one));
+    }
+    // 2. Shut down every live connection, so in-flight clients see EOF at
+    //    once. adopt() refuses new ones from here on.
+    {
+      const MutexLock lock(conns_mutex_);
+      for (const auto& entry : conns_) ::shutdown(entry.first, SHUT_RDWR);
+    }
+    // 3. Join the workers.
+    for (auto& worker : workers_) worker.join();
+    workers_.clear();
+    // 4. Close the fds. No worker is left to own a connection.
+    {
+      const MutexLock lock(conns_mutex_);
+      for (const auto& entry : conns_) {
+        ::close(entry.first);
+        counters_->active_connections.fetch_sub(1);
+      }
+      conns_.clear();
+    }
     acceptor_.close();
-    // 2. Close every connection — including ones mid-request — on its own
-    //    shard. In-flight handler results find conn->closed and are dropped.
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      run_on_shard(i, [this, i] {
-        auto conns = std::move(shards_[i]->conns);
-        for (auto& [fd, conn] : conns) conn->close();
-      });
-    }
-    // 3. Drain the handler pool. Completions posted to the still-running
-    //    loops see closed connections and do nothing.
-    pool_.reset();
-    // 4. Now the loops can go.
-    for (auto& shard : shards_) {
-      shard->loop->stop();
-      if (shard->thread.joinable()) shard->thread.join();
-    }
+    if (wake_fd_ >= 0) ::close(wake_fd_);
+    if (epoll_fd_ >= 0) ::close(epoll_fd_);
+    wake_fd_ = epoll_fd_ = -1;
   }
 
  private:
-  struct Conn;
-
-  /// One event loop plus its thread and the connections it owns. `conns`
-  /// is touched only from the shard's loop thread (registration happens in
-  /// posted tasks), so it needs no lock.
-  struct Shard {
-    std::unique_ptr<EventLoop> loop;
-    std::thread thread;
-    std::unordered_map<int, std::shared_ptr<Conn>> conns;
-  };
-
-  /// Per-connection frame state machine. Owned by exactly one shard and
-  /// mutated only on that shard's loop thread; the handler pool touches a
-  /// Conn only to post completions back to its loop. Strict cycle per
-  /// connection — read frame, dispatch, write reply, read again — so
-  /// replies keep request order without sequence numbers.
-  struct Conn : std::enable_shared_from_this<Conn> {
-    Impl* server = nullptr;
-    Shard* shard = nullptr;
+  /// One connection's frame state. It belongs to the worker epoll handed
+  /// its last event to: each registration is EPOLLONESHOT, so after one
+  /// event the connection stays disarmed until its owner re-arms it, and
+  /// the owner touches it alone. Strict cycle — read a frame, run the
+  /// handler, write the reply, read again — so replies keep request order
+  /// without sequence numbers.
+  struct Conn {
+    /// The hand-off edge between owners. The owner holds it around the
+    /// epoll_ctl that re-arms the connection; the next owner takes and
+    /// drops it before touching anything. Never held across I/O or the
+    /// handler.
+    Mutex handoff{"TcpServer.conn"};
     int fd = -1;
-    bool closed = false;
     // Read state: the fixed prefix lands in `prefix`; payload + CRC
-    // trailer land in one arena buffer that travels to the pool, so
+    // trailer land in one arena buffer the payload is decoded from, so
     // payload bytes are written exactly once between recv() and decode.
     std::array<std::byte, kFramePrefixSize> prefix{};
     bool reading_body = false;
@@ -117,140 +140,199 @@ class TcpServer::Impl {
     std::size_t read_off = 0;
     // Write state: prefix / payload / trailer go out as one gather write,
     // never concatenated into a single buffer.
+    bool replying = false;
     std::array<std::byte, kFramePrefixSize> write_prefix{};
     std::vector<std::byte> write_payload;
     std::array<std::byte, kFrameTrailerSize> write_trailer{};
     std::size_t write_off = 0;
+  };
 
-    void close() {
-      if (closed) return;
-      closed = true;
-      shard->loop->cancel(fd);
-      ::close(fd);
-      server->counters_->active_connections.fetch_sub(1);
-      shard->conns.erase(fd);  // may already be gone during stop()
-    }
+  /// What a connection waits for next.
+  enum class Next { kRead, kWrite, kClose };
 
-    void arm_read() {
-      auto self = shared_from_this();
-      iovec iov{};
-      if (!reading_body) {
-        iov = {prefix.data() + read_off, kFramePrefixSize - read_off};
-      } else {
-        iov = {body.data() + read_off,
-               body_len + kFrameTrailerSize - read_off};
-      }
-      shard->loop->async_readv(
-          fd, std::span<const iovec>(&iov, 1),
-          [self](Result<std::size_t> n) { self->on_read(std::move(n)); });
-    }
-
-    void on_read(Result<std::size_t> n) {
-      if (!n.is_ok()) {
-        RELDEV_DEBUG("tcp-server")
-            << "connection error: " << n.status().to_string();
-        close();
+  /// Leader/followers: every worker waits on the one epoll set and takes
+  /// one event at a time, so no worker holds a ready connection it is not
+  /// serving.
+  void run_worker() {
+    for (;;) {
+      epoll_event event{};
+      lockdep::check_blocking("epoll_wait");
+      const int n = ::epoll_wait(epoll_fd_, &event, 1, -1);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        RELDEV_WARN("tcp-server") << "epoll_wait: " << std::strerror(errno);
         return;
       }
-      if (n.value() == 0) {  // EOF
-        if (reading_body || read_off != 0) {
+      if (n == 0) continue;
+      if (event.data.ptr == nullptr) return;  // the stop eventfd
+      if (event.data.ptr == &acceptor_) {
+        accept_ready();
+      } else {
+        serve(*static_cast<Conn*>(event.data.ptr));
+      }
+    }
+  }
+
+  bool watch(int op, int fd, void* tag, std::uint32_t events) {
+    epoll_event event{};
+    event.events = events;
+    event.data.ptr = tag;
+    return ::epoll_ctl(epoll_fd_, op, fd, &event) == 0;
+  }
+
+  /// Hand `conn` back to the epoll set for one event. On success the
+  /// caller no longer owns it; on failure it still does.
+  bool rearm(Conn& conn, int op, std::uint32_t events) {
+    int error = 0;
+    {
+      const MutexLock lock(conn.handoff);
+      if (watch(op, conn.fd, &conn, events | EPOLLONESHOT)) return true;
+      error = errno;
+    }
+    RELDEV_WARN("tcp-server")
+        << "epoll_ctl(" << conn.fd << "): " << std::strerror(error);
+    return false;
+  }
+
+  void accept_ready() {
+    for (;;) {
+      const int fd = ::accept4(acceptor_.fd(), nullptr, nullptr,
+                               SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd >= 0) {
+        adopt(fd);
+        continue;
+      }
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      if (!stopping_.load()) {
+        RELDEV_WARN("tcp-server") << "accept failed: " << std::strerror(errno);
+      }
+      return;  // accepting ends; stop() owns teardown
+    }
+    (void)watch(EPOLL_CTL_MOD, acceptor_.fd(), &acceptor_,
+                EPOLLIN | EPOLLONESHOT);
+  }
+
+  void adopt(int fd) {
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    auto owned = std::make_unique<Conn>();
+    Conn& conn = *owned;
+    conn.fd = fd;
+    {
+      const MutexLock lock(conns_mutex_);
+      if (stopping_.load()) {
+        ::close(fd);
+        return;
+      }
+      conns_.emplace(fd, std::move(owned));
+    }
+    counters_->active_connections.fetch_add(1);
+    if (!rearm(conn, EPOLL_CTL_ADD, EPOLLIN)) close(conn);
+  }
+
+  void serve(Conn& conn) {
+    // Take and drop the hand-off edge: this makes everything the previous
+    // owner wrote before re-arming visible here.
+    { const MutexLock take_over(conn.handoff); }
+    const Next next = conn.replying ? write_reply(conn) : read_request(conn);
+    if (next == Next::kClose ||
+        !rearm(conn, EPOLL_CTL_MOD,
+               next == Next::kRead ? EPOLLIN : EPOLLOUT)) {
+      close(conn);
+    }
+  }
+
+  /// Read what has arrived. A partial frame stays in `conn` for the next
+  /// readiness event; a whole one is handled and its reply written.
+  Next read_request(Conn& conn) {
+    for (;;) {
+      std::byte* dest = conn.prefix.data() + conn.read_off;
+      std::size_t want = kFramePrefixSize - conn.read_off;
+      if (conn.reading_body) {
+        dest = conn.body.data() + conn.read_off;
+        want = conn.body_len + kFrameTrailerSize - conn.read_off;
+      }
+      const ssize_t n = ::recv(conn.fd, dest, want, 0);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) return Next::kRead;
+        RELDEV_DEBUG("tcp-server")
+            << "connection error: recv: " << std::strerror(errno);
+        return Next::kClose;
+      }
+      if (n == 0) {  // EOF
+        if (conn.reading_body || conn.read_off != 0) {
           RELDEV_DEBUG("tcp-server") << "connection closed mid-frame";
         }
-        close();
-        return;
+        return Next::kClose;
       }
-      read_off += n.value();
-      if (!reading_body) {
-        if (read_off < kFramePrefixSize) {
-          arm_read();
-          return;
-        }
-        const auto length = parse_frame_prefix(prefix);
+      conn.read_off += static_cast<std::size_t>(n);
+      if (!conn.reading_body) {
+        if (conn.read_off < kFramePrefixSize) continue;
+        const auto length = parse_frame_prefix(conn.prefix);
         if (!length) {
-          count_bad_frame(length.status(), *server->counters_);
-          close();
-          return;
+          count_bad_frame(length.status(), *counters_);
+          return Next::kClose;
         }
-        body_len = length.value();
-        body = util::BufferArena::shared().acquire(body_len + kFrameTrailerSize);
-        reading_body = true;
-        read_off = 0;
-        arm_read();
-        return;
+        conn.body_len = length.value();
+        conn.body = util::BufferArena::shared().acquire(conn.body_len +
+                                                        kFrameTrailerSize);
+        conn.reading_body = true;
+        conn.read_off = 0;
+        continue;
       }
-      if (read_off < body_len + kFrameTrailerSize) {
-        arm_read();
-        return;
-      }
-      finish_frame();
+      if (conn.read_off < conn.body_len + kFrameTrailerSize) continue;
+      return handle_frame(conn);
     }
+  }
 
-    void finish_frame() {
-      const std::span<const std::byte> payload(body.data(), body_len);
-      const std::uint32_t crc = decode_frame_trailer(std::span<const std::byte>(
-          body.data() + body_len, kFrameTrailerSize));
-      if (frame_crc(prefix, payload) != crc) {
-        count_bad_frame(errors::corruption("frame CRC mismatch"),
-                        *server->counters_);
-        close();
-        return;
-      }
-      server->counters_->served_frames.fetch_add(1);
-      const std::uint32_t length = body_len;
-      reading_body = false;
-      read_off = 0;
-      // Hand the payload — still in the arena buffer, zero copies since
-      // recv — to the handler pool; the reply comes back via the loop.
-      auto self = shared_from_this();
-      // std::function requires copyable targets; the move-only arena
-      // buffer rides in a shared_ptr.
-      auto frame = std::make_shared<util::ArenaBuffer>(std::move(body));
-      server->pool_->submit([self, frame, length] {
-        std::vector<std::byte> encoded =
-            run_handler(self->server->handler_, *frame, length);
-        EventLoop* loop = self->shard->loop.get();
-        loop->post([self, encoded = std::move(encoded)]() mutable {
-          if (self->closed) return;  // connection died while we worked
-          self->start_write(std::move(encoded));
-        });
-      });
+  /// Verify the CRC, decode the payload in place from the arena buffer,
+  /// run the handler on this thread and start writing its reply.
+  Next handle_frame(Conn& conn) {
+    const std::span<const std::byte> payload(conn.body.data(), conn.body_len);
+    const std::uint32_t crc = decode_frame_trailer(std::span<const std::byte>(
+        conn.body.data() + conn.body_len, kFrameTrailerSize));
+    conn.reading_body = false;
+    conn.read_off = 0;
+    if (frame_crc(conn.prefix, payload) != crc) {
+      count_bad_frame(errors::corruption("frame CRC mismatch"), *counters_);
+      return Next::kClose;
     }
-
-    /// Decode, dispatch, encode: the per-request work that runs on a pool
-    /// thread.
-    static std::vector<std::byte> run_handler(MessageHandler* handler,
-                                              const util::ArenaBuffer& frame,
-                                              std::uint32_t length) {
-      const std::span<const std::byte> request_bytes(frame.data(), length);
-      auto request = Message::decode(request_bytes);
-      Message reply = request ? handler->handle(request.value())
-                              : make_error(0, request.status());
-      return reply.encode();
+    counters_->served_frames.fetch_add(1);
+    auto request = Message::decode(payload);
+    const Message reply = request ? handler_->handle(request.value())
+                                  : make_error(0, request.status());
+    conn.body = util::ArenaBuffer();  // back to the arena
+    std::vector<std::byte> encoded = reply.encode();
+    if (encoded.size() > kMaxFramePayload) {
+      RELDEV_WARN("tcp-server") << "reply too large; dropping connection";
+      return Next::kClose;
     }
+    conn.write_prefix = encode_frame_prefix(encoded.size());
+    const std::uint32_t reply_crc = frame_crc(conn.write_prefix, encoded);
+    BufferWriter trailer(kFrameTrailerSize);
+    trailer.put_u32(reply_crc);
+    std::copy(trailer.bytes().begin(), trailer.bytes().end(),
+              conn.write_trailer.begin());
+    conn.write_payload = std::move(encoded);
+    conn.write_off = 0;
+    conn.replying = true;
+    return write_reply(conn);
+  }
 
-    void start_write(std::vector<std::byte> payload) {
-      if (payload.size() > kMaxFramePayload) {
-        RELDEV_WARN("tcp-server") << "reply too large; dropping connection";
-        close();
-        return;
-      }
-      write_prefix = encode_frame_prefix(payload.size());
-      write_payload = std::move(payload);
-      const std::uint32_t crc = frame_crc(write_prefix, write_payload);
-      BufferWriter trailer(kFrameTrailerSize);
-      trailer.put_u32(crc);
-      std::copy(trailer.bytes().begin(), trailer.bytes().end(),
-                write_trailer.begin());
-      write_off = 0;
-      arm_write();
-    }
-
-    void arm_write() {
+  /// Write the rest of the reply. What the socket cannot take now waits
+  /// for EPOLLOUT, so a client that does not read pins no worker.
+  Next write_reply(Conn& conn) {
+    const std::size_t total = conn.write_prefix.size() +
+                              conn.write_payload.size() +
+                              conn.write_trailer.size();
+    while (conn.write_off < total) {
       // Gather the un-sent suffix of prefix|payload|trailer into at most
       // three iovecs; the payload is never copied into a frame buffer.
       std::array<iovec, 3> iov{};
       std::size_t count = 0;
-      std::size_t skip = write_off;
+      std::size_t skip = conn.write_off;
       const auto add = [&](const std::byte* data, std::size_t size) {
         if (size <= skip) {
           skip -= size;
@@ -259,90 +341,53 @@ class TcpServer::Impl {
         iov[count++] = {const_cast<std::byte*>(data + skip), size - skip};
         skip = 0;
       };
-      add(write_prefix.data(), write_prefix.size());
-      add(write_payload.data(), write_payload.size());
-      add(write_trailer.data(), write_trailer.size());
-      auto self = shared_from_this();
-      shard->loop->async_writev(
-          fd, std::span<const iovec>(iov.data(), count),
-          [self](Result<std::size_t> n) { self->on_write(std::move(n)); });
-    }
-
-    void on_write(Result<std::size_t> n) {
-      if (!n.is_ok()) {
+      add(conn.write_prefix.data(), conn.write_prefix.size());
+      add(conn.write_payload.data(), conn.write_payload.size());
+      add(conn.write_trailer.data(), conn.write_trailer.size());
+      msghdr msg{};
+      msg.msg_iov = iov.data();
+      msg.msg_iovlen = count;
+      const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) return Next::kWrite;
         RELDEV_DEBUG("tcp-server")
-            << "reply failed: " << n.status().to_string();
-        close();
-        return;
+            << "reply failed: sendmsg: " << std::strerror(errno);
+        return Next::kClose;
       }
-      write_off += n.value();
-      const std::size_t total = write_prefix.size() + write_payload.size() +
-                                write_trailer.size();
-      if (write_off < total) {
-        arm_write();
-        return;
-      }
-      write_payload.clear();
-      write_payload.shrink_to_fit();
-      arm_read();  // next request
+      conn.write_off += static_cast<std::size_t>(n);
     }
-  };
-
-  /// Run `task` on shard `index`'s loop thread and wait for it.
-  void run_on_shard(std::size_t index, EventLoop::Task task) {
-    std::promise<void> done;
-    auto fut = done.get_future();
-    shards_[index]->loop->post([&task, &done] {
-      task();
-      done.set_value();
-    });
-    fut.wait();
+    conn.write_payload = {};
+    conn.replying = false;
+    return Next::kRead;  // next request
   }
 
-  void arm_accept() {
-    shards_[0]->loop->async_accept(
-        acceptor_.fd(), [this](Result<int> accepted) {
-          if (!accepted.is_ok()) {
-            if (!stopping_.load()) {
-              RELDEV_WARN("tcp-server")
-                  << "accept failed: " << accepted.status().to_string();
-            }
-            return;  // accept chain ends; stop() owns teardown
-          }
-          adopt(accepted.value());
-          arm_accept();
-        });
-  }
-
-  /// Assign a freshly-accepted fd to a shard round-robin and start its
-  /// frame state machine there.
-  void adopt(int fd) {
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    const std::size_t index =
-        next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
-    counters_->active_connections.fetch_add(1);
-    Shard* shard = shards_[index].get();
-    shard->loop->post([this, shard, fd] {
-      auto conn = std::make_shared<Conn>();
-      conn->server = this;
-      conn->shard = shard;
-      conn->fd = fd;
-      shard->conns.emplace(fd, conn);
-      conn->arm_read();
-    });
+  /// Drop a connection its caller owns.
+  void close(Conn& conn) {
+    const int fd = conn.fd;
+    std::unique_ptr<Conn> owned;
+    {
+      const MutexLock lock(conns_mutex_);
+      const auto it = conns_.find(fd);
+      owned = std::move(it->second);
+      conns_.erase(it);
+    }
+    ::close(fd);
+    counters_->active_connections.fetch_sub(1);
   }
 
   Acceptor acceptor_;
   const std::uint16_t port_ = acceptor_.port();
   MessageHandler* handler_;
   ServerCounters* counters_;
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;
   std::atomic<bool> stopping_{false};
-  std::atomic<std::size_t> next_shard_{0};
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Handlers run here, never on a loop shard: they block on storage and on
-  // peer round trips. Default size; destroyed (drained) by stop().
-  std::unique_ptr<FanOut> pool_ = std::make_unique<FanOut>();
+  std::vector<std::thread> workers_;
+  Mutex conns_mutex_{"TcpServer.conns"};
+  // Every live connection by fd: stop() shuts them down and closes them.
+  std::unordered_map<int, std::unique_ptr<Conn>> conns_
+      RELDEV_GUARDED_BY(conns_mutex_);
 };
 
 Result<std::unique_ptr<TcpServer>> TcpServer::start(std::uint16_t port,
@@ -350,22 +395,13 @@ Result<std::unique_ptr<TcpServer>> TcpServer::start(std::uint16_t port,
   RELDEV_EXPECTS(handler != nullptr);
   auto acceptor = Acceptor::listen(port);
   if (!acceptor) return acceptor.status();
-  auto server = std::unique_ptr<TcpServer>(new TcpServer());
   if (auto status = acceptor.value().set_nonblocking(true); !status.is_ok()) {
     return status;
   }
-  const std::size_t shard_count =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  std::vector<std::unique_ptr<EventLoop>> loops;
-  loops.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    auto loop = EventLoop::create();
-    if (!loop) return loop.status();
-    loops.push_back(std::move(loop).value());
-  }
+  auto server = std::unique_ptr<TcpServer>(new TcpServer());
   server->impl_ = std::make_unique<Impl>(std::move(acceptor).value(), handler,
-                                         &server->counters_,
-                                         std::move(loops));
+                                         &server->counters_);
+  if (auto status = server->impl_->open(); !status.is_ok()) return status;
   return server;
 }
 

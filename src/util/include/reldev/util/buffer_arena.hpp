@@ -1,6 +1,6 @@
 // BufferArena: a thread-safe pool of reusable byte buffers for the network
 // hot path. Frame payloads are short-lived and highly size-repetitive (one
-// allocation per request at steady state), so the reactor recycles them
+// allocation per request at steady state), so the TCP server recycles them
 // through size-classed free lists instead of hitting the allocator — and,
 // more importantly, the buffer a frame lands in is the buffer the decoder
 // reads from, so payload bytes are never copied between the wire and
@@ -93,7 +93,7 @@ class BufferArena {
   BufferArena(const BufferArena&) = delete;
   BufferArena& operator=(const BufferArena&) = delete;
 
-  /// Process-wide arena shared by every server shard. Constructed on first
+  /// Process-wide arena shared by every server worker. Constructed on first
   /// use; lives until process exit.
   static BufferArena& shared();
 

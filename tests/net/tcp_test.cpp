@@ -4,9 +4,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <latch>
 #include <thread>
+#include <vector>
 
 #include "reldev/net/tcp/tcp_client.hpp"
 #include "reldev/net/tcp/tcp_server.hpp"
@@ -195,15 +197,15 @@ TEST_F(TcpServerModeTest, BlockedHandlerDoesNotStallOtherConnections) {
     std::this_thread::sleep_for(1ms);
   }
   EXPECT_TRUE(handler.entered.load());
-  // Connections go to the loop shards round-robin, so one fresh connection
-  // per shard puts at least one on the blocked connection's shard.
+  // The blocked handler holds one worker; the others still serve every
+  // fresh connection, one per core here.
   const unsigned shards = std::max(1u, std::thread::hardware_concurrency());
   for (unsigned i = 0; i < shards; ++i) {
     TcpChannel other("127.0.0.1", server->port(), 2s);
     auto reply = other.call(Message{2, StateInquiry{}});
     EXPECT_TRUE(reply.is_ok()) << reply.status().to_string();
   }
-  // Release before any fatal assertion: stop() drains the handler pool.
+  // Release before any fatal assertion: stop() waits for the handler.
   handler.release.count_down();
   auto reply = pending.get();
   ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
@@ -310,6 +312,90 @@ TEST(FramingTest, EofMidFrameIsIoError) {
   c.close();
   auto read = read_frame(d);
   EXPECT_EQ(read.status().code(), reldev::ErrorCode::kIoError);
+}
+
+/// Threads in this process right now.
+std::size_t thread_count() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+/// The server's worker count: max(8, cores).
+std::size_t worker_count() {
+  return std::max<std::size_t>(8, std::thread::hardware_concurrency());
+}
+
+TEST_F(TcpServerModeTest, FixedWorkerSetServesManyConnections) {
+  EchoHandler handler;
+  const std::size_t before = thread_count();
+  auto server = start_server(&handler).value();
+  // Every connection has a request in flight before any reply is read.
+  const std::vector<std::byte> request = Message{1, StateInquiry{}}.encode();
+  std::vector<Socket> sockets;
+  for (int i = 0; i < 64; ++i) {
+    auto socket = Socket::connect("127.0.0.1", server->port(), 2s);
+    ASSERT_TRUE(socket.is_ok()) << socket.status().to_string();
+    ASSERT_TRUE(write_frame(socket.value(), request).is_ok());
+    sockets.push_back(std::move(socket).value());
+  }
+  for (auto& socket : sockets) {
+    socket.set_recv_timeout(5s);
+    auto frame = read_frame(socket);
+    ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
+    auto reply = Message::decode(frame.value());
+    ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+    EXPECT_TRUE(reply.value().holds<StateInfo>());
+  }
+  EXPECT_EQ(server->served_frames(), 64u);
+  EXPECT_LE(thread_count(), before + worker_count());
+}
+
+/// Answers a ClientReadRequest with a reply far larger than a socket buffer
+/// holds, and a StateInquiry at once.
+class BigReplyHandler : public MessageHandler {
+ public:
+  Message handle(const Message& request) override {
+    if (request.holds<ClientReadRequest>()) {
+      big_replies.fetch_add(1);
+      return Message{0, ClientReadReply{0, BlockData(4u << 20)}};
+    }
+    return Message{0, StateInfo{SiteState::kAvailable, 7, {}}};
+  }
+  void handle_oneway(const Message&) override {}
+  std::atomic<int> big_replies{0};
+};
+
+TEST_F(TcpServerModeTest, NonReadingClientsPinNoWorker) {
+  BigReplyHandler handler;
+  auto server = start_server(&handler).value();
+  // More clients than workers ask for a big reply and never read it.
+  const std::vector<std::byte> request =
+      Message{1, ClientReadRequest{0}}.encode();
+  const int hogs = static_cast<int>(worker_count()) + 2;
+  std::vector<Socket> sockets;
+  for (int i = 0; i < hogs; ++i) {
+    auto socket = Socket::connect("127.0.0.1", server->port(), 2s);
+    ASSERT_TRUE(socket.is_ok()) << socket.status().to_string();
+    ASSERT_TRUE(write_frame(socket.value(), request).is_ok());
+    sockets.push_back(std::move(socket).value());
+  }
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (handler.big_replies.load() < hogs &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(handler.big_replies.load(), hogs);
+
+  const auto call_start = std::chrono::steady_clock::now();
+  TcpChannel channel("127.0.0.1", server->port(), 2s);
+  auto reply = channel.call(Message{2, StateInquiry{}});
+  EXPECT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_LT(std::chrono::steady_clock::now() - call_start, 2s);
+
+  const auto stop_start = std::chrono::steady_clock::now();
+  server->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start, 2s);
 }
 
 }  // namespace

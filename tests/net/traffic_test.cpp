@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 namespace reldev::net {
 namespace {
 
@@ -60,6 +63,36 @@ TEST(TrafficTest, OpKindNames) {
   EXPECT_STREQ(op_kind_name(OpKind::kWrite), "write");
   EXPECT_STREQ(op_kind_name(OpKind::kRecovery), "recovery");
   EXPECT_STREQ(op_kind_name(OpKind::kOther), "other");
+}
+
+TEST(TrafficMeterConcurrencyTest, ConcurrentAddForIsLossless) {
+  TrafficMeter meter;
+  constexpr int kThreads = 8;
+  constexpr int kAddsPerThread = 10000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&meter] {
+      for (int i = 0; i < kAddsPerThread; ++i) {
+        meter.add_for(OpKind::kRead, 1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(meter.count(OpKind::kRead),
+            static_cast<std::uint64_t>(kThreads) * kAddsPerThread);
+}
+
+TEST(TrafficMeterConcurrencyTest, AddForLandsInTheCapturedBucket) {
+  TrafficMeter meter;
+  meter.set_current_op(OpKind::kWrite);
+  // A straggler reporting under the kind captured at dispatch must not be
+  // affected by what the engine thread switched to since.
+  const OpKind captured = meter.current_op();
+  meter.set_current_op(OpKind::kRecovery);
+  meter.add_for(captured, 3);
+  EXPECT_EQ(meter.count(OpKind::kWrite), 3u);
+  EXPECT_EQ(meter.count(OpKind::kRecovery), 0u);
 }
 
 }  // namespace

@@ -12,8 +12,8 @@
 //                                see every lock.
 //   reldev-no-blocking-under-lock
 //                                calls to blocking syscalls (pread, pwrite,
-//                                fsync, send, recv, ...), sleeps, or FanOut
-//                                fan-outs lexically inside a scope where a
+//                                fsync, send, recv, epoll_wait, ...) or
+//                                sleeps lexically inside a scope where a
 //                                reldev::MutexLock is live — the lexical
 //                                (compile-time) half of lockdep's
 //                                check_blocking(). A lockdep::AllowBlocking
@@ -89,18 +89,12 @@ class NoBlockingUnderLockCheck : public ClangTidyCheck {
     const auto BlockingFn = functionDecl(hasAnyName(
         "::pread", "::pwrite", "::preadv", "::pwritev", "::read", "::write",
         "::fsync", "::fdatasync", "::send", "::recv", "::sendmsg",
-        "::recvmsg", "::accept", "::connect", "::poll", "::ppoll",
-        "::select", "::sleep", "::usleep", "::nanosleep",
+        "::recvmsg", "::readv", "::writev", "::accept", "::accept4",
+        "::connect", "::poll", "::ppoll", "::select", "::epoll_wait",
+        "::epoll_pwait", "::sleep", "::usleep", "::nanosleep",
         "::std::this_thread::sleep_for", "::std::this_thread::sleep_until"));
     Finder->addMatcher(
         callExpr(callee(BlockingFn)).bind("call"), this);
-    // Fan-out submission blocks until the round completes.
-    Finder->addMatcher(
-        cxxMemberCallExpr(
-            on(hasType(hasUnqualifiedDesugaredType(recordType(hasDeclaration(
-                cxxRecordDecl(hasName("::reldev::net::FanOut"))))))))
-            .bind("call"),
-        this);
   }
 
   void check(const MatchFinder::MatchResult &Result) override {

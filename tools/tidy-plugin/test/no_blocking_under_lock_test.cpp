@@ -1,5 +1,5 @@
 // Positive + negative cases for reldev-no-blocking-under-lock: blocking
-// syscalls / sleeps / FanOut fan-outs lexically after a live
+// syscalls / sleeps lexically after a live
 // reldev::MutexLock in an enclosing scope. `// expect-warning` marks the
 // lines that must fire; all others must stay clean.
 #include <chrono>
@@ -13,6 +13,14 @@ ssize_t_ pwrite(int, const void*, unsigned long, long);
 int fsync(int);
 ssize_t_ send(int, const void*, unsigned long, int);
 ssize_t_ recv(int, void*, unsigned long, int);
+struct iovec;
+struct epoll_event;
+struct sockaddr;
+ssize_t_ readv(int, const iovec*, int);
+ssize_t_ writev(int, const iovec*, int);
+int epoll_wait(int, epoll_event*, int, int);
+int epoll_pwait(int, epoll_event*, int, int, const void*);
+int accept4(int, sockaddr*, unsigned*, int);
 }
 
 namespace reldev {
@@ -27,12 +35,6 @@ class AllowBlocking {
   explicit AllowBlocking(const char*) {}
 };
 }  // namespace lockdep
-namespace net {
-class FanOut {
- public:
-  void submit_round() {}
-};
-}  // namespace net
 }  // namespace reldev
 
 reldev::Mutex g_mutex;
@@ -58,9 +60,17 @@ void sleep_under_lock() {
   std::this_thread::sleep_for(std::chrono::seconds(1));    // expect-warning
 }
 
-void fanout_under_lock(reldev::net::FanOut& fanout) {
+void vectored_io_under_lock(int fd) {
   const reldev::MutexLock lock(g_mutex);
-  fanout.submit_round();                                   // expect-warning
+  readv(fd, nullptr, 0);                                   // expect-warning
+  writev(fd, nullptr, 0);                                  // expect-warning
+}
+
+void readiness_wait_under_lock(int epoll_fd, int listen_fd) {
+  const reldev::MutexLock lock(g_mutex);
+  epoll_wait(epoll_fd, nullptr, 1, -1);                    // expect-warning
+  epoll_pwait(epoll_fd, nullptr, 1, -1, nullptr);          // expect-warning
+  accept4(listen_fd, nullptr, nullptr, 0);                 // expect-warning
 }
 
 void lock_in_outer_scope(int fd) {
