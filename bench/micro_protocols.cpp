@@ -1,15 +1,13 @@
 // MICRO: google-benchmark timings of the device path itself — per-scheme
 // read/write latency over the in-process transport, the cost of the
 // eager vs piggybacked was-available policy (the §3.2 ablation), version-
-// vector operations, block-store backends, and MiniFS operations on local
-// vs replicated devices.
+// vector operations, and block-store backends.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "reldev/core/group.hpp"
 #include "reldev/core/site.hpp"
-#include "reldev/fs/minifs.hpp"
 #include "reldev/net/tcp/tcp_client.hpp"
 #include "reldev/storage/file_block_store.hpp"
 #include "reldev/storage/mem_block_store.hpp"
@@ -234,24 +232,5 @@ void BM_FileStoreWrite(benchmark::State& state) {
   std::remove(path.c_str());
 }
 BENCHMARK(BM_FileStoreWrite);
-
-void BM_MiniFsWriteFile(benchmark::State& state) {
-  const bool replicated = state.range(0) == 1;
-  storage::MemBlockStore local_store(512, kBlockSize);
-  core::LocalBlockDevice local_device(local_store);
-  core::ReplicaGroup group(core::SchemeKind::kNaiveAvailableCopy,
-                           core::GroupConfig::majority(3, 512, kBlockSize));
-  core::ReplicaDevice replica_device(group.replica(0));
-  core::BlockDevice& device =
-      replicated ? static_cast<core::BlockDevice&>(replica_device)
-                 : static_cast<core::BlockDevice&>(local_device);
-  auto fs = fs::MiniFs::format(device).value();
-  const std::vector<std::byte> contents(3 * kBlockSize, std::byte{0x66});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fs.write_file("bench.dat", contents));
-  }
-  state.SetLabel(replicated ? "replicated-device" : "local-device");
-}
-BENCHMARK(BM_MiniFsWriteFile)->Arg(0)->Arg(1)->ArgName("replicated");
 
 }  // namespace

@@ -120,11 +120,6 @@ class ScrubDaemon {
   void set_options(const ScrubOptions& options) RELDEV_EXCLUDES(mutex_);
   [[nodiscard]] std::uint64_t cursor() const RELDEV_EXCLUDES(mutex_);
 
-  /// Called (outside the daemon's lock) for every block a heal rewrote —
-  /// the BlockCache invalidation hook.
-  void set_heal_listener(std::function<void(BlockId)> listener)
-      RELDEV_EXCLUDES(mutex_);
-
   // --- test hooks ----------------------------------------------------------
 
   /// Replace the throttle clock (deterministic budget tests).
@@ -157,7 +152,6 @@ class ScrubDaemon {
   /// Debt accumulated by the last step; the background loop sleeps it off.
   std::chrono::nanoseconds pending_delay_ RELDEV_GUARDED_BY(mutex_){0};
   Rng jitter_ RELDEV_GUARDED_BY(mutex_){1};
-  std::function<void(BlockId)> heal_listener_ RELDEV_GUARDED_BY(mutex_);
   std::function<TokenBucket::Clock::time_point()> clock_
       RELDEV_GUARDED_BY(mutex_);
   std::function<void()> preheal_hook_ RELDEV_GUARDED_BY(mutex_);

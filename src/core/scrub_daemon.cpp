@@ -93,7 +93,6 @@ Result<ScrubReport> ScrubDaemon::do_step() {
   SiteSet targets;
   std::chrono::nanoseconds delay{0};
   std::function<void()> preheal;
-  std::function<void(BlockId)> listener;
   {
     MutexLock lock(mutex_);
     if (cursor_ >= block_count) cursor_ = 0;
@@ -113,7 +112,6 @@ Result<ScrubReport> ScrubDaemon::do_step() {
       targets.insert(site);
     }
     preheal = preheal_hook_;
-    listener = heal_listener_;
   }
 
   auto scan = storage::scan_digests(replica_.store(), first, batch);
@@ -202,7 +200,6 @@ Result<ScrubReport> ScrubDaemon::do_step() {
   std::size_t stale_healed = 0;
   std::size_t corrupt_healed = 0;
   std::size_t heal_failures = 0;
-  std::vector<BlockId> healed_blocks;
   for (const auto& [source, blocks] : fetch_by_site) {
     {
       MutexLock lock(mutex_);
@@ -216,7 +213,6 @@ Result<ScrubReport> ScrubDaemon::do_step() {
       continue;
     }
     for (const BlockId block : healed.value()) {
-      healed_blocks.push_back(block);
       if (demoted.contains(block)) {
         ++corrupt_healed;  // latent local corruption found by the scan
       } else {
@@ -242,10 +238,6 @@ Result<ScrubReport> ScrubDaemon::do_step() {
       continue;
     }
     ++corrupt_healed;
-    healed_blocks.push_back(block);
-  }
-  if (listener) {
-    for (const BlockId block : healed_blocks) listener(block);
   }
 
   const std::uint64_t next =
@@ -370,11 +362,6 @@ void ScrubDaemon::set_options(const ScrubOptions& options) {
 std::uint64_t ScrubDaemon::cursor() const {
   MutexLock lock(mutex_);
   return cursor_;
-}
-
-void ScrubDaemon::set_heal_listener(std::function<void(BlockId)> listener) {
-  MutexLock lock(mutex_);
-  heal_listener_ = std::move(listener);
 }
 
 void ScrubDaemon::set_clock(

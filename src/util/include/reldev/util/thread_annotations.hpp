@@ -115,7 +115,7 @@ class RELDEV_CAPABILITY("mutex") Mutex {
   /// Lockdep class identity: mutexes sharing a `name` (or, unnamed, a
   /// construction site) form one class, so one run's ordering facts
   /// generalize over every instance. Name long-lived mutexes after their
-  /// owner ("BlockCache.mutex"); locals may rely on the site default.
+  /// owner ("ScrubDaemon.mutex"); locals may rely on the site default.
   explicit Mutex(const char* name = nullptr,
                  std::source_location site = std::source_location::current())
       : ld_name_(name), ld_file_(site.file_name()), ld_line_(site.line()) {}

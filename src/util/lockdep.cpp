@@ -33,26 +33,6 @@ std::function<void(const Violation&)>& handler_slot() {
   return slot;
 }
 
-[[noreturn]] void default_handler(const Violation& violation) {
-  std::fprintf(stderr, "%s\n", violation.text.c_str());
-  std::fflush(stderr);
-  std::abort();
-}
-
-void emit(Violation violation) {
-  g_violations.fetch_add(1, std::memory_order_relaxed);
-  std::function<void(const Violation&)> handler;
-  {
-    const std::lock_guard<std::mutex> lock(handler_mutex());  // NOLINT
-    handler = handler_slot();
-  }
-  if (handler) {
-    handler(violation);
-  } else {
-    default_handler(violation);
-  }
-}
-
 struct ThreadFlags {
   int in_hook = 0;        // re-entrancy guard (handler taking locks, ...)
   int allow_blocking = 0; // AllowBlocking scope depth
@@ -102,6 +82,26 @@ void reset() { g_violations.store(0, std::memory_order_relaxed); }
 #else  // RELDEV_LOCKDEP
 
 namespace {
+
+[[noreturn]] void default_handler(const Violation& violation) {
+  std::fprintf(stderr, "%s\n", violation.text.c_str());
+  std::fflush(stderr);
+  std::abort();
+}
+
+void emit(Violation violation) {
+  g_violations.fetch_add(1, std::memory_order_relaxed);
+  std::function<void(const Violation&)> handler;
+  {
+    const std::lock_guard<std::mutex> lock(handler_mutex());  // NOLINT
+    handler = handler_slot();
+  }
+  if (handler) {
+    handler(violation);
+  } else {
+    default_handler(violation);
+  }
+}
 
 /// One lock the current thread holds.
 struct HeldLock {
