@@ -27,6 +27,7 @@
 #include "reldev/storage/file_block_store.hpp"
 #include "reldev/storage/journaled_block_store.hpp"
 #include "reldev/util/flags.hpp"
+#include "reldev/util/lockdep.hpp"
 #include "reldev/util/table.hpp"
 #include "reldev/util/thread_annotations.hpp"
 
@@ -115,6 +116,9 @@ RowResult bench_file(const std::string& path, std::size_t writers,
   auto [seconds, latencies] =
       drive(writers, ops, [&](std::size_t w, std::size_t i) {
         const MutexLock lock(serial);
+        const lockdep::AllowBlocking allow(
+            "per-op-fsync baseline: writers serialize on the unsynchronized "
+            "store, write + fsync included");
         const auto block = static_cast<storage::BlockId>(
             (w * 17 + i) % kBlocks);
         if (!store.value()->write(block, payload, i + 1).is_ok()) std::abort();

@@ -25,13 +25,16 @@ std::string format_scrub_stats(const ScrubStats& stats) {
 
 ScrubDaemon::ScrubDaemon(ReplicaBase& replica, ScrubOptions options)
     : replica_(replica) {
+  // Reading the persisted cursor is store I/O, so it happens before the
+  // lock is taken (no blocking under a Mutex).
+  std::uint64_t cursor = storage::load_scrub_cursor(replica.store());
+  if (cursor >= replica.config().block_count) cursor = 0;
   MutexLock lock(mutex_);
   options_ = options;
   bytes_bucket_ = TokenBucket(options.bytes_per_sec, options.bytes_per_sec);
   ops_bucket_ = TokenBucket(options.ops_per_sec, options.ops_per_sec);
   jitter_ = Rng(options.jitter_seed ^ (0x5c20bb3dull + replica.id()));
-  cursor_ = storage::load_scrub_cursor(replica.store());
-  if (cursor_ >= replica.config().block_count) cursor_ = 0;
+  cursor_ = cursor;
 }
 
 ScrubDaemon::~ScrubDaemon() { stop(); }

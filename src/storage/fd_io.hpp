@@ -20,10 +20,10 @@ namespace reldev::storage::detail {
 
 inline std::string errno_text() { return std::strerror(errno); }
 
-// Every helper here blocks on disk I/O, so each one is a lockdep
-// blocking-under-lock checkpoint: calling it with any reldev::Mutex held
-// violates the library's lock discipline (DESIGN.md §15) and is reported
-// in RELDEV_LOCKDEP builds.
+// Every helper here blocks on disk I/O, so each one checks the
+// blocking-under-lock rule: calling it with any reldev::Mutex held
+// violates the library's lock discipline (DESIGN.md §15) and throws
+// ContractViolation (lockdep.hpp).
 
 /// Full-coverage pwrite loop; explicit 64-bit offsets (off_t, not long).
 inline Status write_at(int fd, std::uint64_t offset, const void* data,

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <utility>
@@ -16,6 +15,11 @@
 #include "reldev/util/serial.hpp"
 
 namespace reldev::storage {
+
+using detail::errno_text;
+using detail::read_at;
+using detail::ReadOutcome;
+using detail::write_at;
 
 namespace {
 
@@ -72,45 +76,6 @@ Result<Header> decode_header(std::span<const std::byte> raw) {
   }
   if (crc.value() != expected) return errors::corruption("store header CRC");
   return Header{block_count.value(), block_size.value()};
-}
-
-std::string errno_text() { return std::strerror(errno); }
-
-/// Full-coverage pwrite loop; explicit 64-bit offsets (off_t, not long).
-Status write_at(int fd, std::uint64_t offset, const void* data,
-                std::size_t size) {
-  const auto* bytes = static_cast<const char*>(data);
-  std::size_t done = 0;
-  while (done < size) {
-    const ::ssize_t n = ::pwrite(fd, bytes + done, size - done,
-                                 static_cast<::off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errors::io_error("write failed: " + errno_text());
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return Status::ok();
-}
-
-/// Full-coverage pread loop. Distinguishes a short read (end of file —
-/// the signature of a truncated/torn record) from a true I/O error.
-enum class ReadOutcome { kOk, kShort };
-Result<ReadOutcome> read_at(int fd, std::uint64_t offset, void* data,
-                            std::size_t size) {
-  auto* bytes = static_cast<char*>(data);
-  std::size_t done = 0;
-  while (done < size) {
-    const ::ssize_t n = ::pread(fd, bytes + done, size - done,
-                                static_cast<::off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errors::io_error("read failed: " + errno_text());
-    }
-    if (n == 0) return ReadOutcome::kShort;  // end of file
-    done += static_cast<std::size_t>(n);
-  }
-  return ReadOutcome::kOk;
 }
 
 std::uint64_t first_block_offset() {
@@ -412,13 +377,7 @@ Result<std::vector<std::byte>> FileBlockStore::get_metadata() const {
   return std::move(slot).value().blob;
 }
 
-Status FileBlockStore::sync() {
-  while (::fsync(fd_) != 0) {
-    if (errno == EINTR) continue;
-    return errors::io_error("fsync failed: " + errno_text());
-  }
-  return Status::ok();
-}
+Status FileBlockStore::sync() { return detail::sync_fd(fd_); }
 
 Status FileBlockStore::raw_write_at(std::uint64_t offset,
                                     std::span<const std::byte> bytes) {

@@ -15,6 +15,11 @@
 //     compile error (self-deadlock caught statically);
 //   * long-running work (network calls, sleeps, user callbacks) is never
 //     performed while holding a Mutex.
+//
+// Two lock rules are also checked at run time, in every build (each Mutex
+// counts the locks its thread holds; see lockdep.hpp): no blocking syscall
+// while a Mutex is held, and no CondVar wait while a lock other than the
+// waited one is held. Nesting is legal; lock order is TSan's to check.
 #pragma once
 
 #include <atomic>
@@ -24,17 +29,6 @@
 #include <thread>
 
 #include "reldev/util/assert.hpp"
-
-// With RELDEV_LOCKDEP (cmake option; Debug/CI builds) every Mutex also
-// feeds the runtime lock-order checker: mutexes get *class* identities
-// (an explicit name, or the construction site), acquisitions build a
-// global ordering graph with cycle detection, and the raw-I/O paths
-// refuse to block while a lock is held. See lockdep.hpp / DESIGN.md §15.
-#if defined(RELDEV_LOCKDEP)
-#include <source_location>
-
-#include "reldev/util/lockdep.hpp"
-#endif
 
 // ---------------------------------------------------------------------------
 // Attribute macros. Real attributes under clang; no-ops everywhere else, so
@@ -60,12 +54,6 @@
 /// The pointee is only dereferenced while holding the given mutex.
 #define RELDEV_PT_GUARDED_BY(x) RELDEV_THREAD_ANNOTATION__(pt_guarded_by(x))
 
-/// Lock-ordering declarations between mutexes (deadlock prevention).
-#define RELDEV_ACQUIRED_BEFORE(...) \
-  RELDEV_THREAD_ANNOTATION__(acquired_before(__VA_ARGS__))
-#define RELDEV_ACQUIRED_AFTER(...) \
-  RELDEV_THREAD_ANNOTATION__(acquired_after(__VA_ARGS__))
-
 /// The function must be called with the given capabilities held.
 #define RELDEV_REQUIRES(...) \
   RELDEV_THREAD_ANNOTATION__(requires_capability(__VA_ARGS__))
@@ -77,8 +65,6 @@
   RELDEV_THREAD_ANNOTATION__(acquire_capability(__VA_ARGS__))
 #define RELDEV_RELEASE(...) \
   RELDEV_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
-#define RELDEV_TRY_ACQUIRE(...) \
-  RELDEV_THREAD_ANNOTATION__(try_acquire_capability(__VA_ARGS__))
 
 /// The function must be called with the given capabilities NOT held.
 #define RELDEV_EXCLUDES(...) \
@@ -99,79 +85,53 @@
 
 namespace reldev {
 
+namespace lockdep {
+
+/// The calling thread's lock bookkeeping behind the run-time lock rules.
+struct ThreadLocks {
+  int held = 0;            // reldev::Mutex-es this thread holds
+  int allow_blocking = 0;  // open lockdep::AllowBlocking scopes
+};
+inline thread_local ThreadLocks this_thread_locks;
+
+/// Number of reldev::Mutex-es the calling thread currently holds.
+[[nodiscard]] inline int held_count() noexcept {
+  return this_thread_locks.held;
+}
+
+}  // namespace lockdep
+
 // ---------------------------------------------------------------------------
 // Annotated primitives.
 // ---------------------------------------------------------------------------
 
 /// std::mutex with the capability attribute and a real assert_held(). The
-/// holder is tracked with one relaxed atomic store per lock/unlock — cheap
-/// enough to keep in every build, and it turns RELDEV_ASSERT_CAPABILITY
-/// from a pure compile-time claim into a runtime contract check
+/// holder is tracked with one relaxed atomic store per lock/unlock, and the
+/// thread's held-lock count with one thread_local add — cheap enough to
+/// keep in every build. assert_held() turns RELDEV_ASSERT_CAPABILITY from
+/// a pure compile-time claim into a runtime contract check
 /// (ContractViolation on failure, like every other contract in this
 /// library).
 class RELDEV_CAPABILITY("mutex") Mutex {
  public:
-#if defined(RELDEV_LOCKDEP)
-  /// Lockdep class identity: mutexes sharing a `name` (or, unnamed, a
-  /// construction site) form one class, so one run's ordering facts
-  /// generalize over every instance. Name long-lived mutexes after their
-  /// owner ("ScrubDaemon.mutex"); locals may rely on the site default.
-  explicit Mutex(const char* name = nullptr,
-                 std::source_location site = std::source_location::current())
-      : ld_name_(name), ld_file_(site.file_name()), ld_line_(site.line()) {}
-#else
   Mutex() = default;
-  /// Lockdep class name; inert in this configuration (kept so naming a
-  /// mutex does not need an #ifdef at the declaration site).
+  /// Names the mutex at its declaration ("ScrubDaemon.mutex"), for the
+  /// reader; the name is not stored.
   explicit Mutex(const char* /*name*/) {}
-#endif
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-#if defined(RELDEV_LOCKDEP)
-  void lock(std::source_location site = std::source_location::current())
-      RELDEV_ACQUIRE() {
-    const std::uint32_t cls = ld_class();
-    lockdep::pre_acquire(this, cls, site.file_name(), site.line());
-    mutex_.lock();
-    holder_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-    lockdep::post_acquire(this, cls, site.file_name(), site.line());
-  }
-
-  void unlock() RELDEV_RELEASE() {
-    lockdep::note_release(this);
-    holder_.store(std::thread::id{}, std::memory_order_relaxed);
-    mutex_.unlock();
-  }
-
-  [[nodiscard]] bool try_lock(
-      std::source_location site = std::source_location::current())
-      RELDEV_TRY_ACQUIRE(true) {
-    if (!mutex_.try_lock()) return false;
-    holder_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-    // A try-lock can never participate in a deadlock (it backs off), so
-    // no pre_acquire ordering check — but it is held from here on, so it
-    // does join the stack for later edges and blocking checks.
-    lockdep::post_acquire(this, ld_class(), site.file_name(), site.line());
-    return true;
-  }
-#else
   void lock() RELDEV_ACQUIRE() {
     mutex_.lock();
     holder_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+    ++lockdep::this_thread_locks.held;
   }
 
   void unlock() RELDEV_RELEASE() {
+    --lockdep::this_thread_locks.held;
     holder_.store(std::thread::id{}, std::memory_order_relaxed);
     mutex_.unlock();
   }
-
-  [[nodiscard]] bool try_lock() RELDEV_TRY_ACQUIRE(true) {
-    if (!mutex_.try_lock()) return false;
-    holder_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-    return true;
-  }
-#endif
 
   /// True iff the calling thread currently holds this mutex.
   [[nodiscard]] bool held_by_caller() const noexcept {
@@ -188,24 +148,6 @@ class RELDEV_CAPABILITY("mutex") Mutex {
  private:
   friend class CondVar;
 
-#if defined(RELDEV_LOCKDEP)
-  /// Lazily interned lockdep class id (0 = not yet registered). Racing
-  /// registrations are benign: register_class is idempotent per key.
-  std::uint32_t ld_class() noexcept {
-    std::uint32_t cls = ld_class_.load(std::memory_order_acquire);
-    if (cls == 0) {
-      cls = lockdep::register_class(ld_name_, ld_file_, ld_line_);
-      ld_class_.store(cls, std::memory_order_release);
-    }
-    return cls;
-  }
-
-  const char* ld_name_;
-  const char* ld_file_;
-  unsigned ld_line_;
-  std::atomic<std::uint32_t> ld_class_{0};
-#endif
-
   std::mutex mutex_;
   std::atomic<std::thread::id> holder_{};
 };
@@ -215,20 +157,9 @@ class RELDEV_CAPABILITY("mutex") Mutex {
 /// mutex is held.
 class RELDEV_SCOPED_CAPABILITY MutexLock {
  public:
-#if defined(RELDEV_LOCKDEP)
-  /// The guard's construction site is the acquisition site lockdep shows
-  /// in held-lock chains (source_location defaults to the caller).
-  explicit MutexLock(Mutex& mutex,
-                     std::source_location site = std::source_location::current())
-      RELDEV_ACQUIRE(mutex)
-      : mutex_(mutex) {
-    mutex_.lock(site);
-  }
-#else
   explicit MutexLock(Mutex& mutex) RELDEV_ACQUIRE(mutex) : mutex_(mutex) {
     mutex_.lock();
   }
-#endif
   ~MutexLock() RELDEV_RELEASE() { mutex_.unlock(); }
 
   MutexLock(const MutexLock&) = delete;
@@ -241,6 +172,8 @@ class RELDEV_SCOPED_CAPABILITY MutexLock {
 /// Condition variable usable with Mutex. Waits are annotated REQUIRES: the
 /// caller must hold the mutex, and (as with std::condition_variable) the
 /// wait releases it while sleeping and reacquires before returning.
+/// Waiting while holding any other lock is a contract violation: that lock
+/// would stay held for the whole sleep.
 class CondVar {
  public:
   CondVar() = default;
@@ -248,39 +181,26 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void wait(Mutex& mutex) RELDEV_REQUIRES(mutex) {
-    // Lockdep: the mutex leaves the held stack while the wait sleeps (it
-    // really is released) and is re-pushed — with ordering re-checked —
-    // on wake. Waiting with *other* locks held is reported.
-#if defined(RELDEV_LOCKDEP)
-    const lockdep::WaitToken token = lockdep::wait_begin(&mutex);
-#endif
+    RELDEV_EXPECTS(mutex.held_by_caller() && lockdep::held_count() == 1);
     std::unique_lock<std::mutex> native(mutex.mutex_, std::adopt_lock);
     mutex.holder_.store(std::thread::id{}, std::memory_order_relaxed);
     cv_.wait(native);
     mutex.holder_.store(std::this_thread::get_id(),
                         std::memory_order_relaxed);
     native.release();  // the caller's MutexLock still owns the mutex
-#if defined(RELDEV_LOCKDEP)
-    lockdep::wait_end(&mutex, token);
-#endif
   }
 
   /// Returns false if `timeout` elapsed without a notification.
   template <typename Rep, typename Period>
   bool wait_for(Mutex& mutex, std::chrono::duration<Rep, Period> timeout)
       RELDEV_REQUIRES(mutex) {
-#if defined(RELDEV_LOCKDEP)
-    const lockdep::WaitToken token = lockdep::wait_begin(&mutex);
-#endif
+    RELDEV_EXPECTS(mutex.held_by_caller() && lockdep::held_count() == 1);
     std::unique_lock<std::mutex> native(mutex.mutex_, std::adopt_lock);
     mutex.holder_.store(std::thread::id{}, std::memory_order_relaxed);
     const auto status = cv_.wait_for(native, timeout);
     mutex.holder_.store(std::this_thread::get_id(),
                         std::memory_order_relaxed);
     native.release();
-#if defined(RELDEV_LOCKDEP)
-    lockdep::wait_end(&mutex, token);
-#endif
     return status == std::cv_status::no_timeout;
   }
 

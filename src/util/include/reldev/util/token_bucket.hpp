@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 
 namespace reldev {
 
@@ -57,12 +56,13 @@ class TokenBucket {
 
  private:
   void refill(Clock::time_point now) {
-    if (!last_.has_value()) {
+    if (!primed_) {
+      primed_ = true;
       last_ = now;
       tokens_ = burst_;
       return;
     }
-    const std::chrono::duration<double> dt = now - *last_;
+    const std::chrono::duration<double> dt = now - last_;
     if (dt.count() > 0) {
       tokens_ = std::min(burst_, tokens_ + dt.count() * rate_);
       last_ = now;
@@ -72,7 +72,8 @@ class TokenBucket {
   double rate_ = 0.0;
   double burst_ = 0.0;
   double tokens_ = 0.0;
-  std::optional<Clock::time_point> last_;
+  bool primed_ = false;  // the first refill starts the bucket full
+  Clock::time_point last_{};
 };
 
 }  // namespace reldev

@@ -4,10 +4,12 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "reldev/util/assert.hpp"
+#include "reldev/util/lockdep.hpp"
 
 namespace reldev {
 namespace {
@@ -19,23 +21,6 @@ TEST(MutexTest, LockUnlockTracksHolder) {
   EXPECT_TRUE(mutex.held_by_caller());
   mutex.unlock();
   EXPECT_FALSE(mutex.held_by_caller());
-}
-
-TEST(MutexTest, TryLockSucceedsWhenFree) {
-  Mutex mutex;
-  ASSERT_TRUE(mutex.try_lock());
-  EXPECT_TRUE(mutex.held_by_caller());
-  mutex.unlock();
-}
-
-TEST(MutexTest, TryLockFailsWhenHeldByAnotherThread) {
-  Mutex mutex;
-  mutex.lock();
-  bool acquired = true;
-  std::thread other([&] { acquired = mutex.try_lock(); });
-  other.join();
-  EXPECT_FALSE(acquired);
-  mutex.unlock();
 }
 
 TEST(MutexTest, AssertHeldPassesWhenHeld) {
@@ -76,7 +61,8 @@ TEST(MutexTest, HolderClearedAfterUnlockEvenAcrossThreads) {
   other.join();
   EXPECT_FALSE(mutex.held_by_caller());
   // And the mutex is genuinely free again.
-  ASSERT_TRUE(mutex.try_lock());
+  mutex.lock();
+  EXPECT_TRUE(mutex.held_by_caller());
   mutex.unlock();
 }
 
@@ -106,7 +92,8 @@ TEST(MutexLockTest, ReleasesOnScopeExit) {
     EXPECT_TRUE(mutex.held_by_caller());
   }
   EXPECT_FALSE(mutex.held_by_caller());
-  ASSERT_TRUE(mutex.try_lock());
+  mutex.lock();
+  EXPECT_TRUE(mutex.held_by_caller());
   mutex.unlock();
 }
 
@@ -118,7 +105,8 @@ TEST(MutexLockTest, ReleasesWhenScopeExitsViaException) {
   } catch (const std::runtime_error&) {
   }
   EXPECT_FALSE(mutex.held_by_caller());
-  ASSERT_TRUE(mutex.try_lock());
+  mutex.lock();
+  EXPECT_TRUE(mutex.held_by_caller());
   mutex.unlock();
 }
 
@@ -204,6 +192,124 @@ TEST(CondVarTest, NotifyAllWakesEveryWaiter) {
   cv.notify_all();
   for (auto& waiter : waiters) waiter.join();
   EXPECT_EQ(awake, kWaiters);
+}
+
+// The run-time lock rules: each Mutex counts the locks its thread holds,
+// blocking calls and CondVar waits check that count.
+
+TEST(LockRulesTest, BlockingUnderMutexLockThrowsNamingTheOperation) {
+  Mutex mutex;
+  const MutexLock lock(mutex);
+  try {
+    lockdep::check_blocking("pread");
+    FAIL() << "check_blocking passed with a lock held";
+  } catch (const ContractViolation& violation) {
+    EXPECT_NE(std::string(violation.what()).find("pread"), std::string::npos)
+        << violation.what();
+  }
+}
+
+TEST(LockRulesTest, BlockingWithNoLockHeldPasses) {
+  EXPECT_EQ(lockdep::held_count(), 0);
+  EXPECT_NO_THROW(lockdep::check_blocking("fsync"));
+  Mutex mutex;
+  { const MutexLock lock(mutex); }
+  EXPECT_NO_THROW(lockdep::check_blocking("fsync"));
+}
+
+TEST(LockRulesTest, AllowBlockingSuppressesTheThrowAndNests) {
+  Mutex mutex;
+  const MutexLock lock(mutex);
+  {
+    const lockdep::AllowBlocking outer("test: blocks by design");
+    EXPECT_NO_THROW(lockdep::check_blocking("pwrite"));
+    {
+      const lockdep::AllowBlocking inner("test: nested scope");
+      EXPECT_NO_THROW(lockdep::check_blocking("pwrite"));
+    }
+    // Closing the inner scope leaves the outer one in force.
+    EXPECT_NO_THROW(lockdep::check_blocking("pwrite"));
+  }
+  EXPECT_THROW(lockdep::check_blocking("pwrite"), ContractViolation);
+}
+
+TEST(LockRulesTest, AllowBlockingIsPerThread) {
+  Mutex mine;
+  const MutexLock lock(mine);
+  const lockdep::AllowBlocking allow("test: this thread only");
+  bool threw = false;
+  std::thread other([&] {
+    Mutex theirs;
+    const MutexLock held(theirs);
+    try {
+      lockdep::check_blocking("send");
+    } catch (const ContractViolation&) {
+      threw = true;
+    }
+  });
+  other.join();
+  EXPECT_TRUE(threw);
+}
+
+TEST(LockRulesTest, WaitWithOnlyItsOwnMutexHeldPasses) {
+  Mutex mutex;
+  CondVar cv;
+  const MutexLock lock(mutex);
+  EXPECT_NO_THROW(
+      (void)cv.wait_for(mutex, std::chrono::milliseconds(1)));
+  EXPECT_EQ(lockdep::held_count(), 1);
+
+  bool ready = false;
+  std::thread notifier([&] {
+    const MutexLock held(mutex);
+    ready = true;
+    cv.notify_all();
+  });
+  // The notifier can only take the mutex while this wait has released it.
+  EXPECT_NO_THROW({
+    while (!ready) cv.wait(mutex);
+  });
+  notifier.join();
+  EXPECT_EQ(lockdep::held_count(), 1);
+}
+
+TEST(LockRulesTest, WaitWithASecondLockHeldThrows) {
+  Mutex outer;
+  Mutex mutex;
+  CondVar cv;
+  const MutexLock outer_lock(outer);
+  const MutexLock lock(mutex);
+  EXPECT_THROW(cv.wait(mutex), ContractViolation);
+  EXPECT_THROW((void)cv.wait_for(mutex, std::chrono::milliseconds(1)),
+               ContractViolation);
+  // The failed waits left both locks held, as they were.
+  EXPECT_TRUE(outer.held_by_caller());
+  EXPECT_TRUE(mutex.held_by_caller());
+  EXPECT_EQ(lockdep::held_count(), 2);
+}
+
+TEST(LockRulesTest, NestingWithoutBlockingIsAllowed) {
+  Mutex a;
+  Mutex b;
+  {
+    const MutexLock first(a);
+    const MutexLock second(b);
+    EXPECT_EQ(lockdep::held_count(), 2);
+  }
+  EXPECT_EQ(lockdep::held_count(), 0);
+}
+
+TEST(LockRulesTest, CountIsZeroAfterAnExceptionUnwindsThroughMutexLock) {
+  Mutex a;
+  Mutex b;
+  try {
+    const MutexLock first(a);
+    const MutexLock second(b);
+    lockdep::check_blocking("recv");
+  } catch (const ContractViolation&) {
+  }
+  EXPECT_EQ(lockdep::held_count(), 0);
+  EXPECT_NO_THROW(lockdep::check_blocking("recv"));
 }
 
 TEST(AnnotationMacroTest, MacrosCompileToValidCodeOnEveryCompiler) {

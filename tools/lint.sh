@@ -27,8 +27,8 @@
 #
 # The CI static-analysis job runs `tools/lint.sh --require --require-plugin`
 # plus a clang build with -Wthread-safety -Wthread-safety-beta -Werror;
-# together with the runtime lockdep job they are the concurrency gate
-# (DESIGN.md §10, §15).
+# together with the run-time lock rules every build checks and the TSan
+# job they are the concurrency gate (DESIGN.md §10, §15).
 set -euo pipefail
 
 require=0
