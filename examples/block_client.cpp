@@ -90,13 +90,26 @@ int main(int argc, char** argv) {
     const int count = std::stoi(args[1]);
     storage::BlockData data(stub.value().block_size(), std::byte{0x5a});
     const auto start = std::chrono::steady_clock::now();
+    // Names the failing op, its block, the returned status and the stub's
+    // retry detail: which site answered last, after how many attempts.
+    const auto failed = [&](int i, const char* op, storage::BlockId block,
+                            const Status& status) {
+      const auto detail = stub.value().last_failure();
+      std::cerr << "operation " << i << " failed: " << op << " block "
+                << block << ": " << status.to_string() << " (last site "
+                << detail.last_site << ", " << detail.attempts
+                << " attempt(s), " << detail.rounds << " round(s))\n";
+      return 1;
+    };
     for (int i = 0; i < count; ++i) {
       const auto block =
           static_cast<storage::BlockId>(i) % stub.value().block_count();
-      if (!stub.value().write_block(block, data).is_ok() ||
-          !stub.value().read_block(block).is_ok()) {
-        std::cerr << "operation " << i << " failed\n";
-        return 1;
+      if (auto status = stub.value().write_block(block, data);
+          !status.is_ok()) {
+        return failed(i, "write", block, status);
+      }
+      if (auto read = stub.value().read_block(block); !read) {
+        return failed(i, "read", block, read.status());
       }
     }
     const auto elapsed = std::chrono::duration<double>(

@@ -8,6 +8,8 @@
 # SIGTERM. Started again over the same store, it must report the store as
 # reopened, recover, and serve the same block. Then one header byte of the
 # store is zeroed: the next start must fail and leave the file as it was.
+# Last, a voting daemon whose two peers are unreachable has no write
+# quorum: `block_client bench` must exit 1 and say why the op failed.
 set -u
 
 daemon=$1
@@ -30,9 +32,12 @@ fail() {
 }
 
 # run_daemon [WRAPPER...]: exec, so that in the background $! is the daemon.
+# The scheme, peers and store come from $scheme, $peers and $store.
+scheme=available-copy
+peers=127.0.0.1:1
 run_daemon() {
-  exec "$@" "$daemon" --site=0 --port=0 --peers=127.0.0.1:1 \
-    --scheme=available-copy --blocks=8 --block-size=64 --store="$store"
+  exec "$@" "$daemon" --site=0 --port=0 --peers="$peers" \
+    --scheme="$scheme" --blocks=8 --block-size=64 --store="$store"
 }
 
 # wait_for LOG TEXT: wait up to 10 s for TEXT in LOG while the daemon runs.
@@ -82,4 +87,15 @@ case $? in
 esac
 grep -q "magic" "$dir/third.log" || fail "the error does not name the header"
 cmp -s "$store" "$dir/corrupt.copy" || fail "the corrupt store was modified"
+
+scheme=voting
+peers=127.0.0.1:1,127.0.0.1:2,127.0.0.1:3
+store=$dir/voting.rdev
+start voting.log
+client bench 1 >"$dir/bench.log" 2>&1
+[ $? -eq 1 ] || fail "bench without a write quorum did not exit 1"
+grep -q "operation 0 failed: write block 0: unavailable" "$dir/bench.log" ||
+  fail "bench did not report why the write failed"
+grep -q "attempt(s)" "$dir/bench.log" || fail "bench did not report attempts"
+stop
 echo "PASS"

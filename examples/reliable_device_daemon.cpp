@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
       std::chrono::milliseconds(flags.get_int("scrub-interval"));
   options.scrub.bytes_per_sec = static_cast<std::uint64_t>(
       std::max<std::int64_t>(flags.get_int("scrub-throttle"), 0));
-  options.scrub.jitter_seed = site_id + 1;  // desynchronize the fleet
   auto opened = core::Site::open(
       site_id,
       core::GroupConfig::majority(

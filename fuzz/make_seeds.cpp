@@ -68,7 +68,6 @@ void seed_message_decode(const fs::path& dir) {
   emit("state-info", StateInfo{.state = SiteState::kComatose,
                                .version_total = 12345,
                                .was_available = sites});
-  emit("client-write-request", ClientWriteRequest{.block = 8, .data = block});
   emit("device-info-reply",
        DeviceInfoReply{.block_count = 128, .block_size = 64});
   emit("error-reply",

@@ -60,12 +60,6 @@ namespace {
 bool replied_unavailable(const net::Message& reply) {
   constexpr auto kUnavailable =
       static_cast<std::uint8_t>(ErrorCode::kUnavailable);
-  if (reply.holds<net::ClientReadReply>()) {
-    return reply.as<net::ClientReadReply>().error_code == kUnavailable;
-  }
-  if (reply.holds<net::ClientWriteReply>()) {
-    return reply.as<net::ClientWriteReply>().error_code == kUnavailable;
-  }
   if (reply.holds<net::MultiBlockReadReply>()) {
     return reply.as<net::MultiBlockReadReply>().error_code == kUnavailable;
   }
@@ -169,89 +163,47 @@ Result<net::Message> DriverStub::call_any(const net::Message& request) {
       failure.last_error.to_string());
 }
 
-Result<storage::BlockData> DriverStub::read_block(BlockId block) {
-  auto reply = call_any(
-      net::Message{client_id_, net::ClientReadRequest{block}});
-  if (!reply) return reply.status();
-  if (!reply.value().holds<net::ClientReadReply>()) {
-    return errors::protocol("unexpected reply to client read");
-  }
-  auto& payload = reply.value();
-  const auto& read_reply = payload.as<net::ClientReadReply>();
-  if (read_reply.error_code != 0) {
-    return Status(static_cast<ErrorCode>(read_reply.error_code),
-                  "server-side read failed");
-  }
-  if (read_reply.data.size() != block_size_) {
-    return errors::protocol("read returned wrong payload size");
-  }
-  return read_reply.data;
-}
-
-Status DriverStub::write_block(BlockId block,
-                               std::span<const std::byte> data) {
-  if (data.size() != block_size_) {
-    return errors::invalid_argument("payload size != block size");
-  }
-  net::ClientWriteRequest request{block,
-                                  storage::BlockData(data.begin(), data.end())};
-  auto reply =
-      call_any(net::Message{client_id_, std::move(request)});
-  if (!reply) return reply.status();
-  if (!reply.value().holds<net::ClientWriteReply>()) {
-    return errors::protocol("unexpected reply to client write");
-  }
-  const auto code = reply.value().as<net::ClientWriteReply>().error_code;
-  if (code != 0) {
-    return Status(static_cast<ErrorCode>(code), "server-side write failed");
-  }
-  return Status::ok();
-}
-
 Result<storage::BlockData> DriverStub::read_blocks(BlockId first,
                                                    std::size_t count) {
-  if (auto status = check_range(first, count); !status.is_ok()) return status;
+  if (auto status = check_range(first, count, block_count_); !status.is_ok()) {
+    return status;
+  }
   auto reply = call_any(net::Message{
       client_id_,
       net::MultiBlockReadRequest{first, static_cast<std::uint32_t>(count)}});
   if (!reply) return reply.status();
   if (!reply.value().holds<net::MultiBlockReadReply>()) {
-    return errors::protocol("unexpected reply to multi-block read");
+    return errors::protocol("unexpected reply to client read");
   }
   auto& payload = reply.value();
   const auto& read_reply = payload.as<net::MultiBlockReadReply>();
   if (read_reply.error_code != 0) {
     return Status(static_cast<ErrorCode>(read_reply.error_code),
-                  "server-side multi-block read failed");
+                  "server-side read failed");
   }
   if (read_reply.data.size() != count * block_size_) {
-    return errors::protocol("multi-block read returned wrong payload size");
+    return errors::protocol("read returned wrong payload size");
   }
   return read_reply.data;
 }
 
 Status DriverStub::write_blocks(BlockId first,
                                 std::span<const std::byte> data) {
-  if (data.empty() || data.size() % block_size_ != 0) {
-    return errors::invalid_argument(
-        "vectored write payload must be a non-empty multiple of the block "
-        "size");
-  }
-  if (auto status = check_range(first, data.size() / block_size_);
-      !status.is_ok()) {
-    return status;
+  if (auto count = check_write_range(first, data, block_count_, block_size_);
+      !count) {
+    return count.status();
   }
   net::MultiBlockWriteRequest request{
       first, storage::BlockData(data.begin(), data.end())};
   auto reply = call_any(net::Message{client_id_, std::move(request)});
   if (!reply) return reply.status();
   if (!reply.value().holds<net::MultiBlockWriteAck>()) {
-    return errors::protocol("unexpected reply to multi-block write");
+    return errors::protocol("unexpected reply to client write");
   }
   const auto code = reply.value().as<net::MultiBlockWriteAck>().error_code;
   if (code != 0) {
     return Status(static_cast<ErrorCode>(code),
-                  "server-side multi-block write failed");
+                  "server-side write failed");
   }
   return Status::ok();
 }

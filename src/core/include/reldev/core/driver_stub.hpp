@@ -81,11 +81,8 @@ class DriverStub final : public BlockDevice {
     return block_size_;
   }
 
-  [[nodiscard]] Result<storage::BlockData> read_block(BlockId block) override;
-  [[nodiscard]] Status write_block(BlockId block, std::span<const std::byte> data) override;
-
-  /// Vectored path: one MultiBlockRead/Write RPC for the whole range
-  /// instead of one round trip per block.
+  /// One MultiBlockRead/Write RPC for the whole range; a single block
+  /// (read_block/write_block) is a range of one.
   [[nodiscard]] Result<storage::BlockData> read_blocks(BlockId first,
                                          std::size_t count) override;
   [[nodiscard]] Status write_blocks(BlockId first, std::span<const std::byte> data) override;

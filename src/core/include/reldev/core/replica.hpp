@@ -155,14 +155,15 @@ class ReplicaBase : public net::MessageHandler {
     return out;
   }
 
-  /// Validation shared by the range operations: count > 0 and the whole
-  /// range inside the device.
-  [[nodiscard]] Status check_range(BlockId first, std::size_t count) const;
-
-  /// check_range for a write payload, which must also be a non-empty
-  /// multiple of the block size. Returns the block count.
+  /// The device's range validation (device.hpp) on this group's geometry.
+  [[nodiscard]] Status check_range(BlockId first, std::size_t count) const {
+    return core::check_range(first, count, config_.block_count);
+  }
   [[nodiscard]] Result<std::size_t> check_write_range(
-      BlockId first, std::span<const std::byte> data) const;
+      BlockId first, std::span<const std::byte> data) const {
+    return core::check_write_range(first, data, config_.block_count,
+                                   config_.block_size);
+  }
 
   SiteId self_;
   GroupConfig config_;
@@ -172,7 +173,9 @@ class ReplicaBase : public net::MessageHandler {
 };
 
 /// Adapts a replica to the BlockDevice interface so the file system can
-/// mount a replicated device exactly like a local disk.
+/// mount a replicated device exactly like a local disk. Every access is a
+/// range operation, so a one-block write takes the scheme's range write
+/// (under voting: the acknowledged push and its quorum re-check).
 class ReplicaDevice final : public BlockDevice {
  public:
   explicit ReplicaDevice(ReplicaBase& replica) : replica_(replica) {}
@@ -182,12 +185,6 @@ class ReplicaDevice final : public BlockDevice {
   }
   [[nodiscard]] std::size_t block_size() const noexcept override {
     return replica_.config().block_size;
-  }
-  [[nodiscard]] Result<storage::BlockData> read_block(BlockId block) override {
-    return replica_.read(block);
-  }
-  [[nodiscard]] Status write_block(BlockId block, std::span<const std::byte> data) override {
-    return replica_.write(block, data);
   }
   [[nodiscard]] Result<storage::BlockData> read_blocks(BlockId first,
                                          std::size_t count) override {

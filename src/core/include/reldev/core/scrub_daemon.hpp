@@ -12,10 +12,11 @@
 //     debt; the background loop sleeps the debt off, synchronous callers
 //     (tests, scenario verbs) only account it. Scrubbing never starves
 //     foreground traffic.
-//   * pacing — a jittered pause between full cycles so a fleet of sites
-//     does not scrub in lockstep.
+//   * pacing — a pause between full cycles, jittered by a per-site seed so
+//     a fleet of sites does not scrub in lockstep.
 //   * degradation — an unreachable peer is skipped with exponential
-//     backoff (in cycles); a dead site never blocks the batch.
+//     backoff (1, 2, 4, then 8 cycles at most); a dead site never blocks
+//     the batch.
 //   * crash safety — the cursor is persisted through the store's metadata
 //     blob after every batch, so a restarted site resumes mid-cycle.
 //   * foreground safety — every heal re-checks the local version; a copy
@@ -44,16 +45,9 @@ struct ScrubOptions {
   std::uint64_t bytes_per_sec = 0;
   /// RPC budget: digest rounds plus heal fetches. 0 = none.
   std::uint64_t ops_per_sec = 0;
-  /// Pause between full cycles in background mode.
+  /// Pause between full cycles in background mode, +/-20% of seeded
+  /// jitter (the seed is the site id).
   std::chrono::milliseconds cycle_interval{1000};
-  /// Fraction of cycle_interval jittered onto each pause (+/-).
-  double interval_jitter = 0.2;
-  /// Cycles an unreachable peer is skipped before the first retry; doubles
-  /// per consecutive failure up to the max.
-  int peer_backoff_cycles = 1;
-  int peer_backoff_max_cycles = 8;
-  /// Seed of the pacing jitter (deterministic per site).
-  std::uint64_t jitter_seed = 1;
 };
 
 /// Observability counters, mirroring the transport pool's hit/miss pattern:

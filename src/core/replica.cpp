@@ -17,28 +17,6 @@ ReplicaBase::ReplicaBase(SiteId self, GroupConfig config,
   RELDEV_EXPECTS(store.block_size() == config_.block_size);
 }
 
-Status ReplicaBase::check_range(BlockId first, std::size_t count) const {
-  if (count == 0) {
-    return errors::invalid_argument("vectored operation on empty range");
-  }
-  if (first >= config_.block_count || count > config_.block_count - first) {
-    return errors::invalid_argument("block range out of bounds");
-  }
-  return Status::ok();
-}
-
-Result<std::size_t> ReplicaBase::check_write_range(
-    BlockId first, std::span<const std::byte> data) const {
-  if (data.empty() || data.size() % config_.block_size != 0) {
-    return errors::invalid_argument(
-        "vectored write payload must be a non-empty multiple of the block "
-        "size");
-  }
-  const std::size_t count = data.size() / config_.block_size;
-  if (auto status = check_range(first, count); !status.is_ok()) return status;
-  return count;
-}
-
 Status ReplicaBase::write(BlockId block, std::span<const std::byte> data) {
   if (data.size() != config_.block_size) {
     return errors::invalid_argument("payload size != block size");
@@ -74,20 +52,8 @@ net::Message ReplicaBase::handle(const net::Message& request) {
     // should never deliver here, but a racing TCP client might.
     return net::make_error(self_, errors::unavailable("site is failed"));
   }
-  if (request.holds<net::ClientReadRequest>()) {
-    auto data = read(request.as<net::ClientReadRequest>().block);
-    net::ClientReadReply reply;
-    reply.error_code = static_cast<std::uint8_t>(data.status().code());
-    if (data) reply.data = std::move(data).value();
-    return net::Message{self_, std::move(reply)};
-  }
-  if (request.holds<net::ClientWriteRequest>()) {
-    const auto& payload = request.as<net::ClientWriteRequest>();
-    const Status status = write(payload.block, payload.data);
-    return net::Message{
-        self_,
-        net::ClientWriteReply{static_cast<std::uint8_t>(status.code())}};
-  }
+  // Client I/O: a single block is a range of one, so every client write
+  // runs the scheme's range write (under voting, the acknowledged push).
   if (request.holds<net::MultiBlockReadRequest>()) {
     const auto& payload = request.as<net::MultiBlockReadRequest>();
     auto data = read_range(payload.first, payload.count);

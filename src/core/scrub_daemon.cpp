@@ -9,6 +9,17 @@
 
 namespace reldev::core {
 
+namespace {
+
+/// Fraction of cycle_interval jittered onto each pause (+/-).
+constexpr double kIntervalJitter = 0.2;
+/// Cycles an unreachable peer is skipped before the first retry; doubles
+/// per consecutive failure up to the max.
+constexpr int kPeerBackoffCycles = 1;
+constexpr int kPeerBackoffMaxCycles = 8;
+
+}  // namespace
+
 std::string format_scrub_stats(const ScrubStats& stats) {
   std::ostringstream out;
   out << "scanned=" << stats.blocks_scanned
@@ -33,7 +44,7 @@ ScrubDaemon::ScrubDaemon(ReplicaBase& replica, ScrubOptions options)
   options_ = options;
   bytes_bucket_ = TokenBucket(options.bytes_per_sec, options.bytes_per_sec);
   ops_bucket_ = TokenBucket(options.ops_per_sec, options.ops_per_sec);
-  jitter_ = Rng(options.jitter_seed ^ (0x5c20bb3dull + replica.id()));
+  jitter_ = Rng(0x5c20bb3dull + replica.id());  // desynchronizes the fleet
   cursor_ = cursor;
 }
 
@@ -267,10 +278,8 @@ Result<ScrubReport> ScrubDaemon::do_step() {
         peer_backoff_.erase(site);
       } else {
         const int failures = ++peer_failures_[site];
-        const int base = std::max(options_.peer_backoff_cycles, 1);
-        const int backoff = base << std::min(failures - 1, 8);
-        peer_backoff_[site] =
-            std::min(backoff, std::max(options_.peer_backoff_max_cycles, 1));
+        const int backoff = kPeerBackoffCycles << std::min(failures - 1, 8);
+        peer_backoff_[site] = std::min(backoff, kPeerBackoffMaxCycles);
       }
     }
     pending_delay_ = delay;
@@ -304,8 +313,8 @@ void ScrubDaemon::worker_loop() {
       if (report.value().cycle_completed) {
         const auto base = std::chrono::nanoseconds(options_.cycle_interval);
         if (base.count() > 0) {
-          const double jitter = std::clamp(options_.interval_jitter, 0.0, 1.0);
-          const double factor = 1.0 + jitter * (2.0 * jitter_.next_double() - 1.0);
+          const double factor =
+              1.0 + kIntervalJitter * (2.0 * jitter_.next_double() - 1.0);
           sleep_for += std::chrono::nanoseconds(
               static_cast<std::int64_t>(static_cast<double>(base.count()) *
                                         factor));

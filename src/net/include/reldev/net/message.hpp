@@ -129,23 +129,6 @@ struct WasAvailableAck {};
 
 // --- client <-> server (the device interface of §2) ------------------------
 
-struct ClientReadRequest {
-  BlockId block;
-};
-struct ClientReadReply {
-  /// kOk, or kUnavailable when no quorum / no available copy exists.
-  std::uint8_t error_code;
-  BlockData data;
-};
-
-struct ClientWriteRequest {
-  BlockId block;
-  BlockData data;
-};
-struct ClientWriteReply {
-  std::uint8_t error_code;
-};
-
 struct DeviceInfoRequest {};
 struct DeviceInfoReply {
   std::uint64_t block_count;
@@ -158,9 +141,10 @@ struct ErrorReply {
   std::string message;
 };
 
-// --- vectored client I/O (batched multi-block operations) ------------------
-// One message per *batch* instead of one per block, so a k-block file read
-// or write costs one client round trip and one quorum round.
+// --- client block I/O --------------------------------------------------------
+// One request/reply pair per direction. A client reads or writes a block
+// range, and a single block is a range of one, so a k-block file read or
+// write costs one client round trip and one quorum round.
 
 /// Client read of blocks [first, first + count).
 struct MultiBlockReadRequest {
@@ -181,6 +165,10 @@ struct MultiBlockWriteRequest {
 struct MultiBlockWriteAck {
   std::uint8_t error_code;
 };
+
+// Used only by perfbench/src/trace.cpp; the next benchmark change drops them.
+using ClientReadRequest = MultiBlockReadRequest;
+using ClientWriteRequest = MultiBlockWriteRequest;
 
 // --- anti-entropy digest exchange (background scrubber) --------------------
 // A scrub batch compares replicas by cheap CRC-32C digests instead of
@@ -207,9 +195,7 @@ struct DigestReply {
 using Payload =
     std::variant<WriteAllAck, StateInquiry, StateInfo, RepairRequest,
                  RepairReply, WasAvailableUpdate, WasAvailableAck,
-                 ClientReadRequest, ClientReadReply,
-                 ClientWriteRequest, ClientWriteReply, DeviceInfoRequest,
-                 DeviceInfoReply, ErrorReply, MultiBlockReadRequest,
+                 DeviceInfoRequest, DeviceInfoReply, ErrorReply, MultiBlockReadRequest,
                  MultiBlockReadReply, MultiBlockWriteRequest, MultiBlockWriteAck,
                  RangeVoteRequest, RangeVoteReply, BatchFetchRequest,
                  BatchFetchReply, BatchWriteRequest, DigestRequest,

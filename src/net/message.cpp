@@ -8,10 +8,11 @@ namespace reldev::net {
 
 namespace {
 
-// Wire tags; never renumbered once released (append only). Tags 0-5
-// belonged to the retired single-block messages (vote request/reply,
-// block fetch request/reply, block update, write-all request); they stay
-// reserved and decode as kProtocol.
+// Wire tags; never renumbered once released (append only). Retired tags
+// stay reserved and decode as kProtocol: 0-5 belonged to the single-block
+// peer messages (vote request/reply, block fetch request/reply, block
+// update, write-all request), 13-16 to the single-block client messages
+// (client read request/reply, client write request/reply).
 enum class Tag : std::uint8_t {
   kWriteAllAck = 6,
   kStateInquiry,
@@ -20,11 +21,7 @@ enum class Tag : std::uint8_t {
   kRepairReply,
   kWasAvailableUpdate,
   kWasAvailableAck,
-  kClientReadRequest,
-  kClientReadReply,
-  kClientWriteRequest,
-  kClientWriteReply,
-  kDeviceInfoRequest,
+  kDeviceInfoRequest = 17,
   kDeviceInfoReply,
   kErrorReply,
   kMultiBlockReadRequest,
@@ -111,24 +108,6 @@ struct Encoder {
   }
   void operator()(const WasAvailableAck&) const {
     w.put_u8(static_cast<std::uint8_t>(Tag::kWasAvailableAck));
-  }
-  void operator()(const ClientReadRequest& m) const {
-    w.put_u8(static_cast<std::uint8_t>(Tag::kClientReadRequest));
-    w.put_u64(m.block);
-  }
-  void operator()(const ClientReadReply& m) const {
-    w.put_u8(static_cast<std::uint8_t>(Tag::kClientReadReply));
-    w.put_u8(m.error_code);
-    put_block_data(w, m.data);
-  }
-  void operator()(const ClientWriteRequest& m) const {
-    w.put_u8(static_cast<std::uint8_t>(Tag::kClientWriteRequest));
-    w.put_u64(m.block);
-    put_block_data(w, m.data);
-  }
-  void operator()(const ClientWriteReply& m) const {
-    w.put_u8(static_cast<std::uint8_t>(Tag::kClientWriteReply));
-    w.put_u8(m.error_code);
   }
   void operator()(const DeviceInfoRequest&) const {
     w.put_u8(static_cast<std::uint8_t>(Tag::kDeviceInfoRequest));
@@ -249,31 +228,6 @@ Result<Payload> decode_payload(Tag tag, BufferReader& r) {
     }
     case Tag::kWasAvailableAck:
       return Payload{WasAvailableAck{}};
-    case Tag::kClientReadRequest: {
-      auto block = r.get_u64();
-      if (!block) return block.status();
-      return Payload{ClientReadRequest{block.value()}};
-    }
-    case Tag::kClientReadReply: {
-      auto code = r.get_u8();
-      if (!code) return code.status();
-      auto data = get_block_data(r);
-      if (!data) return data.status();
-      return Payload{ClientReadReply{code.value(), std::move(data).value()}};
-    }
-    case Tag::kClientWriteRequest: {
-      auto block = r.get_u64();
-      if (!block) return block.status();
-      auto data = get_block_data(r);
-      if (!data) return data.status();
-      return Payload{
-          ClientWriteRequest{block.value(), std::move(data).value()}};
-    }
-    case Tag::kClientWriteReply: {
-      auto code = r.get_u8();
-      if (!code) return code.status();
-      return Payload{ClientWriteReply{code.value()}};
-    }
     case Tag::kDeviceInfoRequest:
       return Payload{DeviceInfoRequest{}};
     case Tag::kDeviceInfoReply: {
@@ -429,18 +383,6 @@ const char* Message::name() const noexcept {
     }
     const char* operator()(const WasAvailableAck&) const {
       return "was-available-ack";
-    }
-    const char* operator()(const ClientReadRequest&) const {
-      return "client-read-request";
-    }
-    const char* operator()(const ClientReadReply&) const {
-      return "client-read-reply";
-    }
-    const char* operator()(const ClientWriteRequest&) const {
-      return "client-write-request";
-    }
-    const char* operator()(const ClientWriteReply&) const {
-      return "client-write-reply";
     }
     const char* operator()(const DeviceInfoRequest&) const {
       return "device-info-request";

@@ -104,7 +104,7 @@ class ShortReadTransport final : public net::Transport {
   using net::Transport::multicast_call;
 
   Result<net::Message> call(SiteId, SiteId to, const net::Message&) override {
-    return net::Message{to, net::ClientReadReply{0, payload(10, 1)}};
+    return net::Message{to, net::MultiBlockReadReply{0, payload(10, 1)}};
   }
   Status send(SiteId, SiteId, const net::Message&) override {
     return Status::ok();

@@ -52,17 +52,18 @@ TEST_P(ReplicaEdgeTest, FailedReplicaRefusesEverything) {
 }
 
 TEST_P(ReplicaEdgeTest, ClientMessagesDispatchThroughHandle) {
+  // A single-block client operation is a range of one.
   ASSERT_TRUE(group_.write(0, 1, payload(64, 9)).is_ok());
   const auto read_reply = group_.replica(0).handle(
-      net::Message{100, net::ClientReadRequest{1}});
-  ASSERT_TRUE(read_reply.holds<net::ClientReadReply>());
-  EXPECT_EQ(read_reply.as<net::ClientReadReply>().error_code, 0);
-  EXPECT_EQ(read_reply.as<net::ClientReadReply>().data, payload(64, 9));
+      net::Message{100, net::MultiBlockReadRequest{1, 1}});
+  ASSERT_TRUE(read_reply.holds<net::MultiBlockReadReply>());
+  EXPECT_EQ(read_reply.as<net::MultiBlockReadReply>().error_code, 0);
+  EXPECT_EQ(read_reply.as<net::MultiBlockReadReply>().data, payload(64, 9));
 
   const auto write_reply = group_.replica(0).handle(
-      net::Message{100, net::ClientWriteRequest{2, payload(64, 3)}});
-  ASSERT_TRUE(write_reply.holds<net::ClientWriteReply>());
-  EXPECT_EQ(write_reply.as<net::ClientWriteReply>().error_code, 0);
+      net::Message{100, net::MultiBlockWriteRequest{2, payload(64, 3)}});
+  ASSERT_TRUE(write_reply.holds<net::MultiBlockWriteAck>());
+  EXPECT_EQ(write_reply.as<net::MultiBlockWriteAck>().error_code, 0);
 
   const auto info_reply = group_.replica(0).handle(
       net::Message{100, net::DeviceInfoRequest{}});
@@ -73,9 +74,9 @@ TEST_P(ReplicaEdgeTest, ClientMessagesDispatchThroughHandle) {
 
 TEST_P(ReplicaEdgeTest, ClientErrorsSurfaceInReplyCodes) {
   const auto reply = group_.replica(0).handle(
-      net::Message{100, net::ClientReadRequest{999}});
-  ASSERT_TRUE(reply.holds<net::ClientReadReply>());
-  EXPECT_EQ(reply.as<net::ClientReadReply>().error_code,
+      net::Message{100, net::MultiBlockReadRequest{999, 1}});
+  ASSERT_TRUE(reply.holds<net::MultiBlockReadReply>());
+  EXPECT_EQ(reply.as<net::MultiBlockReadReply>().error_code,
             static_cast<std::uint8_t>(reldev::ErrorCode::kInvalidArgument));
 }
 

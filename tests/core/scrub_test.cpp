@@ -6,8 +6,10 @@
 // replicas' backs — the on-disk shape of a missed update or silent rot.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 
 #include "reldev/core/group.hpp"
@@ -152,6 +154,64 @@ TEST_P(ScrubTest, SynchronousStepRefusedWhileBackgroundRunning) {
   daemon.stop();
   EXPECT_FALSE(daemon.running());
   EXPECT_TRUE(daemon.step().is_ok());
+}
+
+TEST_P(ScrubTest, BackgroundLoopPacesRepaysDebtAndStopsPromptly) {
+  // The site daemon's own loop: pause between cycles, sleep off throttle
+  // debt, and wake from the pause when stopped. Only lower bounds on
+  // progress, so a loaded host (ctest -j) slows the case but cannot fail it.
+  using namespace std::chrono_literals;
+  using Clock = std::chrono::steady_clock;
+  auto& daemon = group_.scrubber(0);
+  const auto await = [&](auto done) {
+    const auto deadline = Clock::now() + 30s;
+    while (!done(daemon.stats()) && Clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    return done(daemon.stats());
+  };
+
+  // Pacing: a few milliseconds between full cycles.
+  ScrubOptions options;
+  options.cycle_interval = 2ms;
+  group_.set_scrub_options(options);
+  daemon.start();
+  EXPECT_TRUE(await([](const ScrubStats& s) {
+    return s.cycles_completed >= 3;
+  })) << format_scrub_stats(daemon.stats());
+  daemon.stop();
+
+  // Throttling: one block per batch and a 6400 B/s budget, so the burst
+  // lasts 100 batches and every later batch goes ~10 ms into debt. The
+  // worker sleeps the debt off and keeps completing cycles.
+  options.batch_blocks = 1;
+  options.bytes_per_sec = 100 * kBlockSize;
+  group_.set_scrub_options(options);
+  daemon.start();
+  std::uint64_t cycles_at_stall = 0;
+  EXPECT_TRUE(await([&](const ScrubStats& s) {
+    cycles_at_stall = s.cycles_completed;
+    return s.throttle_stalls > 0;
+  })) << format_scrub_stats(daemon.stats());
+  EXPECT_TRUE(await([&](const ScrubStats& s) {
+    return s.cycles_completed >= cycles_at_stall + 2;
+  })) << format_scrub_stats(daemon.stats());
+  daemon.stop();
+
+  // A long pause: once the first cycle is done the worker waits ~60 s, and
+  // stop() must wake it rather than wait the pause out.
+  options = ScrubOptions{};
+  options.cycle_interval = 60s;
+  group_.set_scrub_options(options);
+  const std::uint64_t before = daemon.stats().cycles_completed;
+  daemon.start();
+  EXPECT_TRUE(await([&](const ScrubStats& s) {
+    return s.cycles_completed > before;
+  })) << format_scrub_stats(daemon.stats());
+  const auto stop_start = Clock::now();
+  daemon.stop();
+  EXPECT_LT(Clock::now() - stop_start, 2s);
+  EXPECT_FALSE(daemon.running());
 }
 
 TEST_P(ScrubTest, ConvergenceDriverHealsMixedDivergence) {

@@ -318,45 +318,77 @@ class VoteThenCrashTransport final : public net::Transport {
   bool armed_ = false;
 };
 
-TEST(VotingMidBatchFaultTest, CrashBetweenVoteAndPushFailsCleanly) {
-  // Three sites; both peers die after granting the write-range quorum but
-  // before the grouped push arrives. The batch write must report
-  // kUnavailable (the push reached no quorum), and once the peers return,
-  // readers must see a consistent range — every block old or every block
-  // new, never a torn mix.
-  const auto config = GroupConfig::majority(3, 8, 64);
-  net::InProcTransport inner;
-  VoteThenCrashTransport transport(inner, {1, 2});
-  std::vector<std::unique_ptr<storage::MemBlockStore>> stores;
-  std::vector<std::unique_ptr<VotingReplica>> replicas;
-  for (SiteId site = 0; site < 3; ++site) {
-    stores.push_back(std::make_unique<storage::MemBlockStore>(8, 64));
-    replicas.push_back(
-        std::make_unique<VotingReplica>(site, config, *stores.back(),
-                                        transport));
-    inner.bind(site, replicas.back().get());
+/// Three voting sites on memory stores behind a VoteThenCrashTransport
+/// whose victims are sites 1 and 2.
+class VotingMidBatchFaultTest : public ::testing::Test {
+ protected:
+  VotingMidBatchFaultTest() {
+    const auto config = GroupConfig::majority(3, 8, 64);
+    for (SiteId site = 0; site < 3; ++site) {
+      stores_.push_back(std::make_unique<storage::MemBlockStore>(8, 64));
+      replicas_.push_back(std::make_unique<VotingReplica>(
+          site, config, *stores_.back(), transport_));
+      inner_.bind(site, replicas_.back().get());
+    }
   }
 
+  net::InProcTransport inner_;
+  VoteThenCrashTransport transport_{inner_, {1, 2}};
+  std::vector<std::unique_ptr<storage::MemBlockStore>> stores_;
+  std::vector<std::unique_ptr<VotingReplica>> replicas_;
+};
+
+TEST_F(VotingMidBatchFaultTest, CrashBetweenVoteAndPushFailsCleanly) {
+  // Both peers die after granting the write-range quorum but before the
+  // grouped push arrives. The batch write must report kUnavailable (the
+  // push reached no quorum), and once the peers return, readers must see a
+  // consistent range — every block old or every block new, never a torn
+  // mix.
   const auto old_data = payload(4 * 64, 1);
-  ASSERT_TRUE(replicas[0]->write_range(0, old_data).is_ok());
+  ASSERT_TRUE(replicas_[0]->write_range(0, old_data).is_ok());
   const auto new_data = payload(4 * 64, 2);
-  transport.arm();
-  EXPECT_EQ(replicas[0]->write_range(0, new_data).code(),
+  transport_.arm();
+  EXPECT_EQ(replicas_[0]->write_range(0, new_data).code(),
             reldev::ErrorCode::kUnavailable);
 
   // The peers come back; a range read through any site must return one
   // consistent generation for the whole range.
-  inner.set_up(1, true);
-  inner.set_up(2, true);
+  inner_.set_up(1, true);
+  inner_.set_up(2, true);
   for (SiteId site = 0; site < 3; ++site) {
-    auto read = replicas[site]->read_range(0, 4);
+    auto read = replicas_[site]->read_range(0, 4);
     ASSERT_TRUE(read.is_ok()) << "site " << site;
     EXPECT_TRUE(read.value() == old_data || read.value() == new_data)
         << "torn range visible through site " << site;
   }
   // And all sites converge on the same generation.
-  EXPECT_EQ(replicas[0]->read_range(0, 4).value(),
-            replicas[1]->read_range(0, 4).value());
+  EXPECT_EQ(replicas_[0]->read_range(0, 4).value(),
+            replicas_[1]->read_range(0, 4).value());
+}
+
+TEST_F(VotingMidBatchFaultTest, SingleBlockClientWriteNeedsAnAckedQuorum) {
+  // A client's one-block write is a range of one, so it runs the range
+  // write's acknowledged push: losing both peers between the vote and the
+  // push reports kUnavailable instead of acking a write only the
+  // coordinator holds. Checked on both client paths.
+  ASSERT_TRUE(replicas_[0]->write(0, payload(64, 1)).is_ok());
+  constexpr auto kUnavailable =
+      static_cast<std::uint8_t>(reldev::ErrorCode::kUnavailable);
+
+  // Through the server's request handler (every TCP client).
+  transport_.arm();
+  const auto reply = replicas_[0]->handle(
+      net::Message{100, net::MultiBlockWriteRequest{0, payload(64, 2)}});
+  ASSERT_TRUE(reply.holds<net::MultiBlockWriteAck>()) << reply.name();
+  EXPECT_EQ(reply.as<net::MultiBlockWriteAck>().error_code, kUnavailable);
+
+  // Through the BlockDevice adapter.
+  inner_.set_up(1, true);
+  inner_.set_up(2, true);
+  transport_.arm();
+  ReplicaDevice device(*replicas_[0]);
+  EXPECT_EQ(device.write_block(0, payload(64, 3)).code(),
+            reldev::ErrorCode::kUnavailable);
 }
 
 TEST_F(VotingTest, PartitionedMinoritiesStayConsistent) {

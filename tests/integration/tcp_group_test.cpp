@@ -190,7 +190,7 @@ TEST_F(TcpGroupTest, FailedReplicaAnswersNothing) {
   // reply (defense in depth), and the caller treats it as unavailable.
   net::tcp::TcpChannel channel("127.0.0.1", servers_[1]->port());
   auto reply = channel.call(
-      net::Message{100, net::ClientReadRequest{0}});
+      net::Message{100, net::MultiBlockReadRequest{0, 1}});
   ASSERT_TRUE(reply.is_ok());
   EXPECT_TRUE(reply.value().holds<net::ErrorReply>());
 }

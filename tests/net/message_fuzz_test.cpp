@@ -26,7 +26,7 @@ std::vector<Message> sample_messages() {
   samples.push_back(
       {6, RepairReply{vv, {BlockUpdate{0, 1, data}, BlockUpdate{2, 9, data}}}});
   samples.push_back({7, WasAvailableUpdate{SiteSet{0, 1, 2}, true}});
-  samples.push_back({8, ClientWriteRequest{3, data}});
+  samples.push_back({8, MultiBlockWriteRequest{3, data}});  // a range of one
   samples.push_back({9, ErrorReply{2, "boom"}});
   samples.push_back({10, MultiBlockReadRequest{4, 3}});
   samples.push_back({11, MultiBlockReadReply{0, data}});

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
 namespace reldev::net {
 namespace {
 
@@ -65,13 +67,18 @@ TEST(MessageTest, WasAvailableRoundTrip) {
 }
 
 TEST(MessageTest, ClientMessagesRoundTrip) {
-  EXPECT_EQ(round_trip(9, ClientReadRequest{6}).block, 6u);
-  const auto rr = round_trip(1, ClientReadReply{0, payload(16, 6)});
+  // A single-block client operation is a range of one on the wire.
+  const auto req = round_trip(9, MultiBlockReadRequest{6, 1});
+  EXPECT_EQ(req.first, 6u);
+  EXPECT_EQ(req.count, 1u);
+  const auto rr = round_trip(1, MultiBlockReadReply{0, payload(16, 6)});
   EXPECT_EQ(rr.error_code, 0);
   EXPECT_EQ(rr.data, payload(16, 6));
-  const auto wr = round_trip(9, ClientWriteRequest{2, payload(16, 7)});
-  EXPECT_EQ(wr.block, 2u);
-  EXPECT_EQ(round_trip(1, ClientWriteReply{1}).error_code, 1);
+  const auto wr = round_trip(9, MultiBlockWriteRequest{2, payload(16, 7)});
+  EXPECT_EQ(wr.first, 2u);
+  EXPECT_EQ(round_trip(1, MultiBlockWriteAck{1}).error_code, 1);
+  // No scalar client messages: 21 payload kinds remain.
+  EXPECT_EQ(std::variant_size_v<Payload>, 21u);
 }
 
 TEST(MessageTest, DeviceInfoRoundTrip) {
@@ -104,13 +111,16 @@ TEST(MessageTest, DecodeRejectsUnknownTag) {
 }
 
 TEST(MessageTest, RetiredTagsDecodeAsProtocolError) {
-  // Tags 0-5 belonged to the retired single-block messages; they stay
-  // reserved, so an old peer's frame is refused rather than misread.
-  for (std::uint8_t tag = 0; tag <= 5; ++tag) {
+  // Tags 0-5 belonged to the retired single-block peer messages and 13-16
+  // to the retired single-block client messages; they stay reserved, so an
+  // old peer's or client's frame is refused rather than misread.
+  constexpr std::uint8_t kRetired[] = {0, 1, 2, 3, 4, 5, 13, 14, 15, 16};
+  for (const std::uint8_t tag : kRetired) {
     reldev::BufferWriter writer;
     writer.put_u32(0);  // from
     writer.put_u8(tag);
     writer.put_u64(1);  // a plausible body
+    writer.put_bytes(payload(16, 1));
     EXPECT_EQ(Message::decode(writer.bytes()).status().code(),
               reldev::ErrorCode::kProtocol)
         << "tag " << static_cast<int>(tag);

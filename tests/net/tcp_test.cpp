@@ -19,13 +19,13 @@ namespace {
 using namespace std::chrono_literals;
 
 /// Thread-safe counting echo: replies StateInfo to StateInquiry and echoes
-/// ClientWriteRequests with an ok ClientWriteReply.
+/// MultiBlockWriteRequests with an ok MultiBlockWriteAck.
 class EchoHandler : public MessageHandler {
  public:
   Message handle(const Message& request) override {
     calls.fetch_add(1);
-    if (request.holds<ClientWriteRequest>()) {
-      return Message{0, ClientWriteReply{0}};
+    if (request.holds<MultiBlockWriteRequest>()) {
+      return Message{0, MultiBlockWriteAck{0}};
     }
     return Message{0, StateInfo{SiteState::kAvailable, 7, {}}};
   }
@@ -112,9 +112,9 @@ TEST_F(TcpServerModeTest, LargePayloadSurvives) {
   for (std::size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<std::byte>(i & 0xff);
   }
-  auto reply = channel.call(Message{1, ClientWriteRequest{0, big}});
+  auto reply = channel.call(Message{1, MultiBlockWriteRequest{0, big}});
   ASSERT_TRUE(reply.is_ok());
-  EXPECT_TRUE(reply.value().holds<ClientWriteReply>());
+  EXPECT_TRUE(reply.value().holds<MultiBlockWriteAck>());
 }
 
 TEST_F(TcpServerModeTest, MultipleClients) {
@@ -166,16 +166,16 @@ TEST_F(TcpServerModeTest, CallAfterServerStopFails) {
   EXPECT_FALSE(reply.is_ok());
 }
 
-/// Replies to StateInquiry at once; a ClientWriteRequest blocks its handler
-/// until `release` opens, the way a replica handler blocks on storage I/O
-/// or on its peers.
+/// Replies to StateInquiry at once; a MultiBlockWriteRequest blocks its
+/// handler until `release` opens, the way a replica handler blocks on
+/// storage I/O or on its peers.
 class BlockingHandler : public MessageHandler {
  public:
   Message handle(const Message& request) override {
-    if (request.holds<ClientWriteRequest>()) {
+    if (request.holds<MultiBlockWriteRequest>()) {
       entered.store(true);
       release.wait();
-      return Message{0, ClientWriteReply{0}};
+      return Message{0, MultiBlockWriteAck{0}};
     }
     return Message{0, StateInfo{SiteState::kAvailable, 7, {}}};
   }
@@ -189,7 +189,7 @@ TEST_F(TcpServerModeTest, BlockedHandlerDoesNotStallOtherConnections) {
   auto server = start_server(&handler).value();
   TcpChannel blocked("127.0.0.1", server->port(), 10s);
   auto pending = std::async(std::launch::async, [&] {
-    return blocked.call(Message{1, ClientWriteRequest{0, BlockData(16)}});
+    return blocked.call(Message{1, MultiBlockWriteRequest{0, BlockData(16)}});
   });
   const auto deadline = std::chrono::steady_clock::now() + 5s;
   while (!handler.entered.load() &&
@@ -209,7 +209,7 @@ TEST_F(TcpServerModeTest, BlockedHandlerDoesNotStallOtherConnections) {
   handler.release.count_down();
   auto reply = pending.get();
   ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
-  EXPECT_TRUE(reply.value().holds<ClientWriteReply>());
+  EXPECT_TRUE(reply.value().holds<MultiBlockWriteAck>());
 }
 
 TEST(TcpPeerTransportTest, RoutesPerSite) {
@@ -351,14 +351,14 @@ TEST_F(TcpServerModeTest, FixedWorkerSetServesManyConnections) {
   EXPECT_LE(thread_count(), before + worker_count());
 }
 
-/// Answers a ClientReadRequest with a reply far larger than a socket buffer
+/// Answers a MultiBlockReadRequest with a reply far larger than a socket buffer
 /// holds, and a StateInquiry at once.
 class BigReplyHandler : public MessageHandler {
  public:
   Message handle(const Message& request) override {
-    if (request.holds<ClientReadRequest>()) {
+    if (request.holds<MultiBlockReadRequest>()) {
       big_replies.fetch_add(1);
-      return Message{0, ClientReadReply{0, BlockData(4u << 20)}};
+      return Message{0, MultiBlockReadReply{0, BlockData(4u << 20)}};
     }
     return Message{0, StateInfo{SiteState::kAvailable, 7, {}}};
   }
@@ -371,7 +371,7 @@ TEST_F(TcpServerModeTest, NonReadingClientsPinNoWorker) {
   auto server = start_server(&handler).value();
   // More clients than workers ask for a big reply and never read it.
   const std::vector<std::byte> request =
-      Message{1, ClientReadRequest{0}}.encode();
+      Message{1, MultiBlockReadRequest{0, 1}}.encode();
   const int hogs = static_cast<int>(worker_count()) + 2;
   std::vector<Socket> sockets;
   for (int i = 0; i < hogs; ++i) {
