@@ -13,6 +13,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "reldev/core/driver_stub.hpp"
@@ -60,13 +61,36 @@ struct RowResult {
   [[nodiscard]] double speedup() const { return scalar.p50_ns / vectored.p50_ns; }
 };
 
+/// Waits until the meter's total has not moved for 20 ms — the straggler
+/// replies of early-stopped reads are still being metered after the op
+/// returns — giving up after 5 s.
+void settle(const net::TrafficMeter& meter) {
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  std::uint64_t last = meter.total();
+  auto quiet_since = Clock::now();
+  for (;;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const std::uint64_t now = meter.total();
+    const auto t = Clock::now();
+    if (now != last) {
+      last = now;
+      quiet_since = t;
+    } else if (t - quiet_since >= std::chrono::milliseconds(20)) {
+      return;
+    }
+    if (t >= deadline) return;
+  }
+}
+
 template <typename Fn>
 Measurement measure(net::TrafficMeter& meter, std::int64_t iters, Fn&& op) {
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(iters));
   op();  // warm-up (connection pools, caches) — not measured
+  settle(meter);
   meter.reset();
   op();  // metered once: transmissions per op are deterministic
+  settle(meter);
   const std::uint64_t transmissions = meter.total();
   for (std::int64_t i = 0; i < iters; ++i) {
     const auto start = Clock::now();

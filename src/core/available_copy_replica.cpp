@@ -114,18 +114,20 @@ Status AvailableCopyReplica::write_range(BlockId first,
   return Status::ok();
 }
 
-Status AvailableCopyReplica::repair_from(SiteId source) {
-  auto reply = transport_.call(
-      self_, source, net::Message{self_, net::RepairRequest{local_versions()}});
-  if (!reply) return reply.status();
-  if (reply.value().holds<net::ErrorReply>()) {
-    const auto& error = reply.value().as<net::ErrorReply>();
-    return Status(static_cast<ErrorCode>(error.error_code), error.message);
+Status AvailableCopyReplica::join_from(SiteId source, SiteSet source_w) {
+  if (auto repaired = repair_from(source); !repaired) {
+    return repaired.status();
   }
-  if (!reply.value().holds<net::RepairReply>()) {
-    return errors::protocol("unexpected reply to repair request");
-  }
-  return apply_repair(reply.value().as<net::RepairReply>());
+  // W becomes the source's set plus this site, and the source learns that
+  // this site now holds its copy.
+  was_available_ = std::move(source_w);
+  was_available_.insert(self_);
+  persist_metadata();
+  transport_
+      .call(self_, source,
+            net::Message{self_, net::WasAvailableUpdate{was_available_, false}})
+      .ignore_error();
+  return Status::ok();
 }
 
 Status AvailableCopyReplica::recover() {
@@ -141,15 +143,9 @@ Status AvailableCopyReplica::recover() {
     if (!reply.holds<net::StateInfo>()) continue;
     const auto& info = reply.as<net::StateInfo>();
     if (info.state != SiteState::kAvailable) continue;
-    if (auto status = repair_from(site); !status.is_ok()) return status;
-    was_available_ = info.was_available;
-    was_available_.insert(self_);
-    persist_metadata();
-    transport_
-        .call(self_, site,
-              net::Message{self_,
-                           net::WasAvailableUpdate{was_available_, false}})
-        .ignore_error();
+    if (auto status = join_from(site, info.was_available); !status.is_ok()) {
+      return status;
+    }
     set_state(SiteState::kAvailable);
     return Status::ok();
   }
@@ -180,17 +176,9 @@ Status AvailableCopyReplica::recover() {
     if (totals.at(member) > totals.at(best)) best = member;
   }
   if (best != self_) {
-    if (auto status = repair_from(best); !status.is_ok()) return status;
-    const auto it = known.find(best);
-    RELDEV_ASSERT(it != known.end());
-    was_available_ = it->second;
-    was_available_.insert(self_);
-    persist_metadata();
-    transport_
-        .call(self_, best,
-              net::Message{self_,
-                           net::WasAvailableUpdate{was_available_, false}})
-        .ignore_error();
+    if (auto status = join_from(best, known.at(best)); !status.is_ok()) {
+      return status;
+    }
   }
   set_state(SiteState::kAvailable);
   RELDEV_DEBUG("available-copy")
@@ -199,63 +187,41 @@ Status AvailableCopyReplica::recover() {
   return Status::ok();
 }
 
+void AvailableCopyReplica::on_push_applied(
+    SiteId from, const net::BatchWriteRequest& push) {
+  if (policy_ != WasAvailablePolicy::kPiggybacked) return;
+  // Adopt the writer's (previous-write) set, extended with the two sites
+  // known to hold this write. Lag makes it a superset — safe.
+  SiteSet adopted = push.was_available;
+  adopted.insert(self_);
+  adopted.insert(from);
+  if (adopted != was_available_) {
+    was_available_ = std::move(adopted);
+    persist_metadata();
+  }
+}
+
+void AvailableCopyReplica::merge_was_available(
+    const net::WasAvailableUpdate& update) {
+  SiteSet next = update.was_available;
+  if (update.replace) {
+    next.insert(self_);
+  } else {
+    next.insert(was_available_.begin(), was_available_.end());
+  }
+  if (next != was_available_) {
+    was_available_ = std::move(next);
+    persist_metadata();
+  }
+}
+
 net::Message AvailableCopyReplica::handle_peer(const net::Message& request) {
   if (request.holds<net::StateInquiry>()) {
     return net::Message{self_, net::StateInfo{state_, local_versions().total(),
                                               was_available_}};
   }
-  if (request.holds<net::BatchWriteRequest>()) {
-    // Only available copies take writes; a comatose copy must finish
-    // repairing first or it would mix stale and fresh blocks.
-    if (state_ != SiteState::kAvailable) {
-      return net::make_error(self_, errors::unavailable("copy not available"));
-    }
-    const auto& push = request.as<net::BatchWriteRequest>();
-    // One message, one handler invocation: the whole batch lands or the
-    // error reply covers the whole batch — no torn multi-block write.
-    for (const auto& update : push.updates) {
-      auto current = store_.version_of(update.block);
-      if (!current) return net::make_error(self_, current.status());
-      if (update.version > current.value()) {
-        if (auto status =
-                store_.write(update.block, update.data, update.version);
-            !status.is_ok()) {
-          return net::make_error(self_, status);
-        }
-      }
-    }
-    if (policy_ == WasAvailablePolicy::kPiggybacked) {
-      // Adopt the writer's (previous-write) set, extended with the two
-      // sites known to hold this write. Lag makes it a superset — safe.
-      SiteSet adopted = push.was_available;
-      adopted.insert(self_);
-      adopted.insert(request.from);
-      if (adopted != was_available_) {
-        was_available_ = std::move(adopted);
-        persist_metadata();
-      }
-    }
-    return net::Message{self_, net::WriteAllAck{}};
-  }
-  if (request.holds<net::RepairRequest>()) {
-    // Served in any non-failed state: after a total failure the highest-
-    // version member of the closure is still comatose when its peers
-    // repair from it.
-    return net::Message{
-        self_, build_repair_reply(request.as<net::RepairRequest>().versions)};
-  }
   if (request.holds<net::WasAvailableUpdate>()) {
-    const auto& update = request.as<net::WasAvailableUpdate>();
-    SiteSet next = update.was_available;
-    if (!update.replace) {
-      next.insert(was_available_.begin(), was_available_.end());
-    } else {
-      next.insert(self_);
-    }
-    if (next != was_available_) {
-      was_available_ = std::move(next);
-      persist_metadata();
-    }
+    merge_was_available(request.as<net::WasAvailableUpdate>());
     return net::Message{self_, net::WasAvailableAck{}};
   }
   return net::make_error(
@@ -265,21 +231,11 @@ net::Message AvailableCopyReplica::handle_peer(const net::Message& request) {
 
 void AvailableCopyReplica::handle_peer_oneway(const net::Message& message) {
   if (message.holds<net::WasAvailableUpdate>()) {
-    const auto& update = message.as<net::WasAvailableUpdate>();
     if (state_ != SiteState::kAvailable) return;  // stale knowledge is safer
-    SiteSet next = update.was_available;
-    if (update.replace) {
-      next.insert(self_);
-    } else {
-      next.insert(was_available_.begin(), was_available_.end());
-    }
-    if (next != was_available_) {
-      was_available_ = std::move(next);
-      persist_metadata();
-    }
+    merge_was_available(message.as<net::WasAvailableUpdate>());
     return;
   }
-  RELDEV_WARN("available-copy") << "ignoring one-way " << message.name();
+  ReplicaBase::handle_peer_oneway(message);
 }
 
 }  // namespace reldev::core

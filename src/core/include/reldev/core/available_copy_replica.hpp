@@ -62,13 +62,20 @@ class AvailableCopyReplica final : public ReplicaBase {
  protected:
   net::Message handle_peer(const net::Message& request) override;
   void handle_peer_oneway(const net::Message& message) override;
+  void on_push_applied(SiteId from,
+                       const net::BatchWriteRequest& push) override;
 
   [[nodiscard]] WasAvailablePolicy policy() const noexcept { return policy_; }
 
  private:
   void persist_metadata();
   void load_metadata();
-  [[nodiscard]] Status repair_from(SiteId source);
+  /// Repair from `source` (repair_from), then take its was-available set
+  /// `source_w` plus this site as W and tell the source.
+  [[nodiscard]] Status join_from(SiteId source, SiteSet source_w);
+  /// Fold a peer's WasAvailableUpdate into W: replace it (keeping self),
+  /// or union it with the current set.
+  void merge_was_available(const net::WasAvailableUpdate& update);
 
   WasAvailablePolicy policy_;
   SiteSet was_available_;

@@ -36,10 +36,11 @@ class NaiveAvailableCopyReplica final : public ReplicaBase {
 
  protected:
   net::Message handle_peer(const net::Message& request) override;
-  void handle_peer_oneway(const net::Message& message) override;
 
  private:
-  [[nodiscard]] Status repair_from(SiteId source);
+  /// repair_from(source), then demote every block this site holds ahead of
+  /// the source and repair once more, so the running group's copy wins.
+  [[nodiscard]] Status adopt_group_copy(SiteId source);
 };
 
 }  // namespace reldev::core

@@ -68,22 +68,15 @@ class ReplicaBase : public net::MessageHandler {
   /// must have made the site reachable again before calling.
   [[nodiscard]] virtual Status recover() = 0;
 
-  // --- anti-entropy scrub support ------------------------------------------
-  // Heal entry points the background scrubber uses once a digest exchange
-  // has identified a block as stale or corrupt. Both are safe against
-  // concurrent foreground progress: a local copy that advanced past what
-  // the scrubber observed is never demoted or overwritten.
+  // --- taking a peer's blocks ---------------------------------------------
 
-  /// Refresh stale local copies of `blocks` from `source` with one batch
-  /// fetch, applying only updates strictly newer than the local version.
-  /// Returns the blocks actually replaced.
-  [[nodiscard]] virtual Result<std::vector<BlockId>> scrub_heal_stale(
-      const std::vector<BlockId>& blocks, SiteId source);
-
-  /// Heal one latently corrupt local block off the read/write path. The
-  /// base demotes and runs the repair round (the available-copy family's
-  /// machinery); voting overrides to heal through its vote round.
-  [[nodiscard]] virtual Status scrub_heal_corrupt(BlockId block);
+  /// Fetch `blocks` from `source` in one BatchFetch round trip and install
+  /// every update strictly newer than the local copy (apply_newer). Returns
+  /// the blocks actually replaced. Voting's read refresh and the scrubber's
+  /// stale and corrupt heals all fetch through here, so a local copy that
+  /// advanced past what the caller observed is never overwritten.
+  [[nodiscard]] Result<std::vector<BlockId>> fetch_newer(
+      std::vector<BlockId> blocks, SiteId source);
 
   // --- MessageHandler ------------------------------------------------------
 
@@ -94,7 +87,13 @@ class ReplicaBase : public net::MessageHandler {
   /// Scheme-specific request dispatch for peer messages the base does not
   /// understand; return an ErrorReply for unexpected types.
   virtual net::Message handle_peer(const net::Message& request) = 0;
-  virtual void handle_peer_oneway(const net::Message& message) = 0;
+  /// The same for one-way messages; the default logs and drops them.
+  virtual void handle_peer_oneway(const net::Message& message);
+
+  /// Runs after a peer's push has been applied, before it is acknowledged
+  /// (available copy adopts the piggybacked was-available set here).
+  virtual void on_push_applied(SiteId /*from*/,
+                               const net::BatchWriteRequest& /*push*/) {}
 
   /// Every peer except this site.
   [[nodiscard]] SiteSet peers() const;
@@ -111,8 +110,16 @@ class ReplicaBase : public net::MessageHandler {
   [[nodiscard]] net::RepairReply build_repair_reply(
       const storage::VersionVector& theirs) const;
 
-  /// Apply a RepairReply: replace every block the source knew newer.
-  [[nodiscard]] Status apply_repair(const net::RepairReply& reply);
+  /// The one way a peer's blocks enter the local store: write each update
+  /// that is strictly newer than the local copy, in order. Returns the
+  /// blocks replaced; the first store error stops it and is returned.
+  [[nodiscard]] Result<std::vector<BlockId>> apply_newer(
+      std::span<const net::BlockUpdate> updates);
+
+  /// One repair round trip: send `source` a RepairRequest with the local
+  /// version vector, apply its reply, and return the source's vector. An
+  /// ErrorReply comes back as its status.
+  [[nodiscard]] Result<storage::VersionVector> repair_from(SiteId source);
 
   /// Media-fault repair: demote a locally corrupt block to "needs repair"
   /// and refill it from peers with one RepairRequest round, applying every
@@ -170,6 +177,12 @@ class ReplicaBase : public net::MessageHandler {
   storage::BlockStore& store_;
   net::Transport& transport_;
   SiteState state_ = SiteState::kAvailable;
+
+ private:
+  /// The push handler every engine shares: only an `available` copy takes
+  /// a push, and it is applied (apply_newer, then on_push_applied) before
+  /// anything acknowledges it.
+  [[nodiscard]] Status take_push(const net::Message& message);
 };
 
 /// Adapts a replica to the BlockDevice interface so the file system can

@@ -1,8 +1,9 @@
 // The anti-entropy scrub daemon: one per site, continuously walking the
 // local version metadata in bounded batches, comparing CRC-32C digest
 // vectors with peers (DigestRequest/DigestReply), and healing stale or
-// latently corrupt blocks off the hot path through the engines' existing
-// repair machinery. The paper's schemes repair a block only when it is
+// latently corrupt blocks off the hot path with the replica's fetch_newer
+// (a corrupt copy is demoted first, then fetched from a peer holding the
+// majority digest). The paper's schemes repair a block only when it is
 // accessed or when a site recovers; the scrubber closes the gap for cold
 // blocks, restoring the redundancy the vote assignments assume.
 //

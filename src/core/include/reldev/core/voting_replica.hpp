@@ -48,13 +48,8 @@ class VotingReplica final : public ReplicaBase {
   /// blocks are caught by version numbers at access time.
   [[nodiscard]] Status recover() override;
 
-  /// Scrub heal through the vote round: demote, then a plain read
-  /// refreshes the block from the best voter.
-  [[nodiscard]] Status scrub_heal_corrupt(BlockId block) override;
-
  protected:
   net::Message handle_peer(const net::Message& request) override;
-  void handle_peer_oneway(const net::Message& message) override;
 
  private:
   struct RangeVotes {
@@ -65,10 +60,6 @@ class VotingReplica final : public ReplicaBase {
   };
   RangeVotes collect_range_votes(net::AccessKind access, BlockId first,
                                  std::size_t count);
-
-  /// Fetch `blocks` from `source` in one batch round trip and install every
-  /// update newer than the local copy.
-  [[nodiscard]] Status fetch_newer(SiteId source, std::vector<BlockId> blocks);
 
   /// A write-quorum push ready to send: the voters and the grouped update.
   struct Push {

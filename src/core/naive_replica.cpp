@@ -37,23 +37,16 @@ Status NaiveAvailableCopyReplica::write_range(BlockId first,
                               net::Message{self_, std::move(push)});
 }
 
-Status NaiveAvailableCopyReplica::repair_from(SiteId source) {
-  // Two passes: the naive write commits locally before the push, so a
-  // coordinator crash can leave this site durably AHEAD of the group on a
+Status NaiveAvailableCopyReplica::adopt_group_copy(SiteId source) {
+  // Two repair rounds: the naive write commits locally before the push, so
+  // a coordinator crash can leave this site durably AHEAD of the group on a
   // write nobody acknowledged. The copy held by the running group is
   // authoritative — demote such blocks and pull the current record on the
   // second round.
   for (int pass = 0; pass < 2; ++pass) {
-    auto reply = transport_.call(self_, source,
-                                 net::Message{self_, net::RepairRequest{
-                                                         local_versions()}});
-    if (!reply) return reply.status();
-    if (!reply.value().holds<net::RepairReply>()) {
-      return errors::protocol("unexpected reply to repair request");
-    }
-    const auto& repair = reply.value().as<net::RepairReply>();
-    if (auto status = apply_repair(repair); !status.is_ok()) return status;
-    const auto ahead = repair.versions.stale_against(local_versions());
+    auto theirs = repair_from(source);
+    if (!theirs) return theirs.status();
+    const auto ahead = theirs.value().stale_against(local_versions());
     if (ahead.empty()) return Status::ok();
     for (const BlockId block : ahead) {
       RELDEV_WARN("naive-ac")
@@ -77,7 +70,7 @@ Status NaiveAvailableCopyReplica::recover() {
   for (const auto& [site, reply] : replies) {
     if (!reply.holds<net::StateInfo>()) continue;
     if (reply.as<net::StateInfo>().state != SiteState::kAvailable) continue;
-    if (auto status = repair_from(site); !status.is_ok()) return status;
+    if (auto status = adopt_group_copy(site); !status.is_ok()) return status;
     set_state(SiteState::kAvailable);
     return Status::ok();
   }
@@ -102,7 +95,7 @@ Status NaiveAvailableCopyReplica::recover() {
     return errors::unavailable("waiting for all sites to recover");
   }
   if (best != self_) {
-    if (auto status = repair_from(best); !status.is_ok()) return status;
+    if (auto status = adopt_group_copy(best); !status.is_ok()) return status;
   }
   set_state(SiteState::kAvailable);
   return Status::ok();
@@ -114,35 +107,9 @@ net::Message NaiveAvailableCopyReplica::handle_peer(
     return net::Message{
         self_, net::StateInfo{state_, local_versions().total(), SiteSet{}}};
   }
-  if (request.holds<net::RepairRequest>()) {
-    return net::Message{
-        self_, build_repair_reply(request.as<net::RepairRequest>().versions)};
-  }
-  if (request.holds<net::BatchWriteRequest>()) {
-    // The naive push is normally one-way; answering the call form keeps
-    // the engine usable over request/reply-only transports such as TCP.
-    handle_peer_oneway(request);
-    return net::Message{self_, net::WriteAllAck{}};
-  }
   return net::make_error(
       self_,
       errors::protocol(std::string("unexpected request ") + request.name()));
-}
-
-void NaiveAvailableCopyReplica::handle_peer_oneway(
-    const net::Message& message) {
-  if (message.holds<net::BatchWriteRequest>()) {
-    if (state_ != SiteState::kAvailable) return;  // comatose copies wait
-    for (const auto& update : message.as<net::BatchWriteRequest>().updates) {
-      auto current = store_.version_of(update.block);
-      if (!current) continue;
-      if (update.version > current.value()) {
-        store_.write(update.block, update.data, update.version).ignore_error();
-      }
-    }
-    return;
-  }
-  RELDEV_WARN("naive-ac") << "ignoring one-way " << message.name();
 }
 
 }  // namespace reldev::core

@@ -111,12 +111,52 @@ net::Message ReplicaBase::handle(const net::Message& request) {
     }
     return net::Message{self_, std::move(reply)};
   }
+  if (request.holds<net::RepairRequest>()) {
+    // Served in any non-failed state: after a total failure the highest-
+    // version member of the available-copy closure is still comatose when
+    // its peers repair from it.
+    return net::Message{
+        self_, build_repair_reply(request.as<net::RepairRequest>().versions)};
+  }
+  if (request.holds<net::BatchWriteRequest>()) {
+    if (const Status status = take_push(request); !status.is_ok()) {
+      return net::make_error(self_, status);
+    }
+    return net::Message{self_, net::WriteAllAck{}};
+  }
   return handle_peer(request);
 }
 
 void ReplicaBase::handle_oneway(const net::Message& message) {
   if (state_ == SiteState::kFailed) return;
+  if (message.holds<net::BatchWriteRequest>()) {
+    if (const Status status = take_push(message); !status.is_ok()) {
+      RELDEV_DEBUG("replica") << "site " << self_ << " dropped a one-way push ("
+                              << status.to_string() << ")";
+    }
+    return;
+  }
   handle_peer_oneway(message);
+}
+
+void ReplicaBase::handle_peer_oneway(const net::Message& message) {
+  RELDEV_WARN("replica") << scheme_name() << " site " << self_
+                         << ": ignoring one-way " << message.name();
+}
+
+Status ReplicaBase::take_push(const net::Message& message) {
+  // A comatose copy must finish repairing first or it would mix stale and
+  // fresh blocks. The whole batch is one message and one handler call, so
+  // it lands whole, or the error covers the whole batch.
+  if (state_ != SiteState::kAvailable) {
+    return errors::unavailable("copy not available");
+  }
+  const auto& push = message.as<net::BatchWriteRequest>();
+  if (auto applied = apply_newer(push.updates); !applied) {
+    return applied.status();
+  }
+  on_push_applied(message.from, push);
+  return Status::ok();
 }
 
 net::RepairReply ReplicaBase::build_repair_reply(
@@ -144,19 +184,50 @@ net::RepairReply ReplicaBase::build_repair_reply(
   return reply;
 }
 
-Status ReplicaBase::apply_repair(const net::RepairReply& reply) {
-  for (const auto& update : reply.blocks) {
+Result<std::vector<BlockId>> ReplicaBase::apply_newer(
+    std::span<const net::BlockUpdate> updates) {
+  std::vector<BlockId> replaced;
+  for (const auto& update : updates) {
     auto current = store_.version_of(update.block);
     if (!current) return current.status();
-    if (update.version <= current.value()) continue;  // we are newer; keep ours
+    if (update.version <= current.value()) continue;  // ours is as new
     if (auto status = store_.write(update.block, update.data, update.version);
         !status.is_ok()) {
       return status;
     }
+    replaced.push_back(update.block);
   }
-  RELDEV_TRACE("replica") << "site " << self_ << " repaired "
-                          << reply.blocks.size() << " blocks";
-  return Status::ok();
+  return replaced;
+}
+
+Result<std::vector<BlockId>> ReplicaBase::fetch_newer(
+    std::vector<BlockId> blocks, SiteId source) {
+  auto reply = transport_.call(
+      self_, source,
+      net::Message{self_, net::BatchFetchRequest{std::move(blocks)}});
+  if (!reply) return reply.status();
+  if (!reply.value().holds<net::BatchFetchReply>()) {
+    return errors::protocol("unexpected reply to batch fetch");
+  }
+  return apply_newer(reply.value().as<net::BatchFetchReply>().updates);
+}
+
+Result<storage::VersionVector> ReplicaBase::repair_from(SiteId source) {
+  auto reply = transport_.call(
+      self_, source, net::Message{self_, net::RepairRequest{local_versions()}});
+  if (!reply) return reply.status();
+  if (reply.value().holds<net::ErrorReply>()) {
+    const auto& error = reply.value().as<net::ErrorReply>();
+    return Status(static_cast<ErrorCode>(error.error_code), error.message);
+  }
+  if (!reply.value().holds<net::RepairReply>()) {
+    return errors::protocol("unexpected reply to repair request");
+  }
+  const auto& repair = reply.value().as<net::RepairReply>();
+  if (auto applied = apply_newer(repair.blocks); !applied) {
+    return applied.status();
+  }
+  return repair.versions;
 }
 
 Status ReplicaBase::heal_corrupt_block(BlockId block) {
@@ -169,9 +240,9 @@ Status ReplicaBase::heal_corrupt_block(BlockId block) {
   bool healed = false;
   for (const auto& [site, reply] : replies) {
     if (!reply.holds<net::RepairReply>()) continue;
-    if (auto status = apply_repair(reply.as<net::RepairReply>());
-        !status.is_ok()) {
-      return status;
+    if (auto applied = apply_newer(reply.as<net::RepairReply>().blocks);
+        !applied) {
+      return applied.status();
     }
     healed = true;
   }
@@ -181,35 +252,6 @@ Status ReplicaBase::heal_corrupt_block(BlockId block) {
         " corrupt locally and no peer reachable to heal it");
   }
   return Status::ok();
-}
-
-Result<std::vector<BlockId>> ReplicaBase::scrub_heal_stale(
-    const std::vector<BlockId>& blocks, SiteId source) {
-  auto reply = transport_.call(
-      self_, source, net::Message{self_, net::BatchFetchRequest{blocks}});
-  if (!reply) return reply.status();
-  if (!reply.value().holds<net::BatchFetchReply>()) {
-    return errors::protocol("unexpected reply to scrub batch fetch");
-  }
-  std::vector<BlockId> healed;
-  for (const auto& update : reply.value().as<net::BatchFetchReply>().updates) {
-    auto current = store_.version_of(update.block);
-    if (!current) return current.status();
-    if (update.version <= current.value()) continue;  // local copy is newer
-    if (auto status = store_.write(update.block, update.data, update.version);
-        !status.is_ok()) {
-      return status;
-    }
-    healed.push_back(update.block);
-  }
-  RELDEV_TRACE("replica") << "site " << self_ << " scrub-healed "
-                          << healed.size() << " stale block(s) from site "
-                          << source;
-  return healed;
-}
-
-Status ReplicaBase::scrub_heal_corrupt(BlockId block) {
-  return heal_corrupt_block(block);
 }
 
 }  // namespace reldev::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "reldev/storage/scrubber.hpp"
 #include "reldev/util/logging.hpp"
@@ -169,7 +170,8 @@ Result<ScrubReport> ScrubDaemon::do_step() {
   const std::set<BlockId> demoted(scan.value().demoted.begin(),
                                   scan.value().demoted.end());
   std::map<SiteId, std::vector<BlockId>> fetch_by_site;
-  std::vector<std::pair<BlockId, storage::VersionNumber>> corrupt;
+  // (block, local version the exchange saw, a peer with the majority digest)
+  std::vector<std::tuple<BlockId, storage::VersionNumber, SiteId>> corrupt;
   std::size_t ambiguous = 0;
   for (std::size_t i = 0; i < scanned; ++i) {
     const BlockId block = first + i;
@@ -187,19 +189,26 @@ Result<ScrubReport> ScrubDaemon::do_step() {
       fetch_by_site[max_site].push_back(block);
       continue;
     }
-    std::map<std::uint32_t, int> votes;
-    votes[local_digest] = 1;
+    // Per digest at the local version: its votes and one site holding it.
+    std::map<std::uint32_t, std::pair<int, SiteId>> votes;
+    votes[local_digest] = {1, self};
     for (const auto& peer : by_block[i]) {
-      if (peer.version == local_version) ++votes[peer.digest];
+      if (peer.version != local_version) continue;
+      auto& tally = votes.try_emplace(peer.digest, 0, peer.site).first->second;
+      ++tally.first;
     }
     if (votes.size() <= 1) continue;  // full agreement
-    const int local_votes = votes[local_digest];
+    const int local_votes = votes[local_digest].first;
     int best_other = 0;
-    for (const auto& [digest, count] : votes) {
-      if (digest != local_digest) best_other = std::max(best_other, count);
+    SiteId source = self;
+    for (const auto& [digest, tally] : votes) {
+      if (digest != local_digest && tally.first > best_other) {
+        best_other = tally.first;
+        source = tally.second;
+      }
     }
     if (best_other > local_votes) {
-      corrupt.emplace_back(block, local_version);
+      corrupt.emplace_back(block, local_version, source);
     } else if (best_other == local_votes) {
       ++ambiguous;  // tie — adopting could destroy the only good copy
     }
@@ -221,7 +230,7 @@ Result<ScrubReport> ScrubDaemon::do_step() {
       delay = std::max(
           delay, charge(bytes_bucket_, blocks.size() * block_size));
     }
-    auto healed = replica_.scrub_heal_stale(blocks, source);
+    auto healed = replica_.fetch_newer(blocks, source);
     if (!healed) {
       ++heal_failures;
       continue;
@@ -234,7 +243,7 @@ Result<ScrubReport> ScrubDaemon::do_step() {
       }
     }
   }
-  for (const auto& [block, seen_version] : corrupt) {
+  for (const auto& [block, seen_version, source] : corrupt) {
     // Foreground-safety: a version that moved since the digest exchange
     // means a fresh foreground write — never demote it.
     auto current = replica_.store().version_of(block);
@@ -244,7 +253,11 @@ Result<ScrubReport> ScrubDaemon::do_step() {
       delay = std::max(delay, charge(ops_bucket_, 1));
       delay = std::max(delay, charge(bytes_bucket_, block_size));
     }
-    if (auto status = replica_.scrub_heal_corrupt(block); !status.is_ok()) {
+    // Healed exactly like a stale copy: demoted to version 0, the block
+    // takes the majority peer's record through the same fetch.
+    Status status = replica_.store().demote(block);
+    if (status.is_ok()) status = replica_.fetch_newer({block}, source).status();
+    if (!status.is_ok()) {
       RELDEV_WARN("scrub") << "site " << self << ": corrupt-heal of block "
                            << block << " failed (" << status.to_string()
                            << "); retrying next cycle";

@@ -65,26 +65,6 @@ VotingReplica::RangeVotes VotingReplica::collect_range_votes(
   return votes;
 }
 
-Status VotingReplica::fetch_newer(SiteId source, std::vector<BlockId> blocks) {
-  auto reply = transport_.call(
-      self_, source,
-      net::Message{self_, net::BatchFetchRequest{std::move(blocks)}});
-  if (!reply) return reply.status();
-  if (!reply.value().holds<net::BatchFetchReply>()) {
-    return errors::protocol("unexpected reply to batch fetch");
-  }
-  for (const auto& update : reply.value().as<net::BatchFetchReply>().updates) {
-    auto current = store_.version_of(update.block);
-    if (!current) return current.status();
-    if (update.version <= current.value()) continue;
-    if (auto status = store_.write(update.block, update.data, update.version);
-        !status.is_ok()) {
-      return status;
-    }
-  }
-  return Status::ok();
-}
-
 Result<storage::BlockData> VotingReplica::read_range(BlockId first,
                                                      std::size_t count) {
   if (state_ == SiteState::kFailed) {
@@ -110,8 +90,8 @@ Result<storage::BlockData> VotingReplica::read_range(BlockId first,
     }
   }
   for (auto& [site, blocks] : stale_by_site) {
-    if (auto status = fetch_newer(site, std::move(blocks)); !status.is_ok()) {
-      return status;
+    if (auto fetched = fetch_newer(std::move(blocks), site); !fetched) {
+      return fetched.status();
     }
   }
   // A record found torn or corrupt under its cached version number is
@@ -134,7 +114,8 @@ Result<storage::BlockData> VotingReplica::read_range(BlockId first,
         source = site;
       }
     }
-    return source == self_ ? Status::ok() : fetch_newer(source, {block});
+    return source == self_ ? Status::ok()
+                           : fetch_newer({block}, source).status();
   });
 }
 
@@ -216,16 +197,6 @@ Status VotingReplica::write_range(BlockId first,
   return Status::ok();
 }
 
-Status VotingReplica::scrub_heal_corrupt(BlockId block) {
-  // Voting has no repair round; heal through the vote protocol instead:
-  // demote the damaged copy so our own vote offers version 0, then a
-  // normal read refreshes it from the best voter.
-  if (auto status = store_.demote(block); !status.is_ok()) return status;
-  auto healed = read(block);
-  if (!healed) return healed.status();
-  return Status::ok();
-}
-
 Status VotingReplica::recover() {
   // Block-level voting needs no recovery work at repair time (§3.1): any
   // stale block is detected by its version number at the next access and
@@ -235,8 +206,8 @@ Status VotingReplica::recover() {
 }
 
 net::Message VotingReplica::handle_peer(const net::Message& request) {
-  // BatchFetchRequest is served scheme-independently by
-  // ReplicaBase::handle (the scrubber fetches from any engine).
+  // Fetches, repairs and pushes are served scheme-independently by
+  // ReplicaBase::handle.
   if (request.holds<net::RangeVoteRequest>()) {
     const auto& vote = request.as<net::RangeVoteRequest>();
     if (auto status = check_range(vote.first, vote.count); !status.is_ok()) {
@@ -256,34 +227,9 @@ net::Message VotingReplica::handle_peer(const net::Message& request) {
     return net::Message{
         self_, net::StateInfo{state_, local_versions().total(), SiteSet{}}};
   }
-  if (request.holds<net::BatchWriteRequest>()) {
-    // write()'s push is one-way; answering the call form keeps the engine
-    // usable over request/reply-only transports such as TCP, and it is the
-    // ack write_range() counts. Dropping it there would shrink the
-    // effective write quorum to the coordinator alone and break the
-    // read-quorum intersection that early-stopped reads rely on.
-    handle_peer_oneway(request);
-    return net::Message{self_, net::WriteAllAck{}};
-  }
   return net::make_error(
       self_, errors::protocol(std::string("unexpected request ") +
                               request.name()));
-}
-
-void VotingReplica::handle_peer_oneway(const net::Message& message) {
-  if (message.holds<net::BatchWriteRequest>()) {
-    // The whole batch arrives in one message and is applied in one handler
-    // invocation, so a site holds either all of the batch or none of it.
-    for (const auto& update : message.as<net::BatchWriteRequest>().updates) {
-      auto current = store_.version_of(update.block);
-      if (!current) continue;
-      if (update.version > current.value()) {
-        store_.write(update.block, update.data, update.version).ignore_error();
-      }
-    }
-    return;
-  }
-  RELDEV_WARN("voting") << "ignoring one-way " << message.name();
 }
 
 }  // namespace reldev::core

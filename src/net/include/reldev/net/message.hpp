@@ -83,7 +83,7 @@ struct BatchWriteRequest {
   std::vector<BlockUpdate> updates;
   SiteSet was_available;
 };
-/// Acknowledges a BatchWriteRequest. Under AC the ack set becomes the
+/// Acknowledges a BatchWriteRequest once applied. Under AC the ack set is the
 /// coordinator's new was-available set; voting's range write counts acked
 /// weight. One-way pushes (voting's write(), NAC) get one only when a
 /// request/reply-only transport such as TCP carries them as calls.

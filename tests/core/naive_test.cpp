@@ -137,10 +137,16 @@ TEST_F(NaiveTest, ComatoseCopyIgnoresWritePushes) {
   ASSERT_EQ(group_.replica(2).state(), SiteState::kComatose);
   // No available coordinator exists, so no write can even start; verify
   // the defensive path directly: a push delivered to a comatose site is
-  // dropped.
-  group_.replica(2).handle_oneway(net::Message{
+  // dropped, and the call form (a push over TCP) is refused, not acked.
+  const net::Message push{
       0, net::BatchWriteRequest{{net::BlockUpdate{0, 99, payload(64, 9)}},
-                                {}}});
+                                {}}};
+  group_.replica(2).handle_oneway(push);
+  EXPECT_EQ(group_.store(2).version_of(0).value(), 0u);
+  const auto reply = group_.replica(2).handle(push);
+  ASSERT_TRUE(reply.holds<net::ErrorReply>()) << reply.name();
+  EXPECT_EQ(reply.as<net::ErrorReply>().error_code,
+            static_cast<std::uint8_t>(reldev::ErrorCode::kUnavailable));
   EXPECT_EQ(group_.store(2).version_of(0).value(), 0u);
 }
 

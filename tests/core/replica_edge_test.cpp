@@ -1,10 +1,11 @@
 // Edge cases of the replica machinery shared by all schemes: unexpected
 // messages get error replies, failed replicas answer nothing, client
 // messages are dispatched by the base class, and repair replies apply
-// correctly in corner cases.
+// correctly in corner cases, and a push is acknowledged only once applied.
 #include <gtest/gtest.h>
 
 #include "reldev/core/group.hpp"
+#include "support/temp_dir.hpp"
 
 namespace reldev::core {
 namespace {
@@ -94,6 +95,44 @@ TEST_P(ReplicaEdgeTest, ConfigMismatchIsContractViolation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, ReplicaEdgeTest,
+                         ::testing::Values(SchemeKind::kVoting,
+                                           SchemeKind::kAvailableCopy,
+                                           SchemeKind::kNaiveAvailableCopy));
+
+/// A group on file stores whose site 1 store dies at its next block write,
+/// the way a failing disk would: after the crash point fires the store
+/// refuses every operation.
+class DeadStorePushTest : public ::testing::TestWithParam<SchemeKind> {
+ protected:
+  DeadStorePushTest()
+      : group_(GetParam(), GroupConfig::majority(3, 4, 64), on_disk()) {
+    group_.crash_points(1).arm({storage::CrashPoint::kBeforeBlockWrite, 0});
+  }
+  PersistentOptions on_disk() const {
+    PersistentOptions persist;
+    persist.directory = dir_.path().string();
+    return persist;
+  }
+  test::TempDir dir_{"reldev_dead_store_push"};
+  ReplicaGroup group_;
+};
+
+TEST_P(DeadStorePushTest, PushTheStoreRefusedIsNotAcked) {
+  // Every engine's peers take pushes through one handler: the ack means
+  // the batch is applied, so a store that refused it answers with an
+  // error — which a voting coordinator must not count towards its quorum.
+  const net::Message push{
+      0, net::BatchWriteRequest{{net::BlockUpdate{0, 1, payload(64, 7)}}, {}}};
+  const auto reply = group_.replica(1).handle(push);
+  ASSERT_TRUE(group_.crash_points(1).crashed());
+  ASSERT_TRUE(reply.holds<net::ErrorReply>()) << reply.name();
+  EXPECT_NE(reply.as<net::ErrorReply>().error_code, 0);
+  // The dead store cannot even report a version now: still no ack.
+  const auto again = group_.replica(1).handle(push);
+  EXPECT_TRUE(again.holds<net::ErrorReply>()) << again.name();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, DeadStorePushTest,
                          ::testing::Values(SchemeKind::kVoting,
                                            SchemeKind::kAvailableCopy,
                                            SchemeKind::kNaiveAvailableCopy));

@@ -1,6 +1,6 @@
 // The anti-entropy scrub daemon: digest exchange finds stale and latently
-// corrupt blocks without client traffic, heals route through the engines'
-// repair machinery, throttling is accounted deterministically, races with
+// corrupt blocks without client traffic, both kinds of heal take one fetch
+// through the replica's apply-if-newer, throttling is accounted deterministically, races with
 // foreground writes never demote newer data, and the cursor survives a
 // kill/restart. Divergence is injected by writing to the stores behind the
 // replicas' backs — the on-disk shape of a missed update or silent rot.
@@ -79,6 +79,21 @@ TEST_P(ScrubTest, LatentCorruptionHealsByDigestMajority) {
   EXPECT_EQ(stats.corrupt_healed, 1u);
   EXPECT_EQ(stats.blocks_scanned, kBlocks);
   EXPECT_EQ(stats.digests_exchanged, kSites - 1);
+}
+
+TEST_P(ScrubTest, CorruptHealCostsOneFetchRoundTrip) {
+  // A rotted block heals like a stale one: demoted, then fetched from a
+  // peer holding the majority digest — one BatchFetch request and its
+  // reply, whatever the engine.
+  seed_block(5, payload(0x33), 4);
+  ASSERT_TRUE(group_.store(0).write(5, payload(0xBD), 4).is_ok());
+  group_.scrubber(0).set_preheal_hook([this] { group_.meter().reset(); });
+
+  auto report = group_.scrub_site(0);
+  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+  ASSERT_EQ(report.value().corrupt_healed, 1u);
+  EXPECT_EQ(group_.meter().total(), 2u);
+  EXPECT_EQ(group_.store(0).read(5).value().data, payload(0x33));
 }
 
 TEST_P(ScrubTest, TwoWaySplitIsAmbiguousAndLeftAlone) {

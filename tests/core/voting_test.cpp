@@ -8,6 +8,7 @@
 #include "reldev/core/group.hpp"
 #include "reldev/net/inproc_transport.hpp"
 #include "reldev/storage/mem_block_store.hpp"
+#include "support/temp_dir.hpp"
 
 namespace reldev::core {
 namespace {
@@ -389,6 +390,36 @@ TEST_F(VotingMidBatchFaultTest, SingleBlockClientWriteNeedsAnAckedQuorum) {
   ReplicaDevice device(*replicas_[0]);
   EXPECT_EQ(device.write_block(0, payload(64, 3)).code(),
             reldev::ErrorCode::kUnavailable);
+}
+
+TEST(VotingUnappliedPushTest, PushTheStoreRefusedLosesTheWriteQuorum) {
+  // Three voting sites on file stores; site 2 is down, so the write quorum
+  // (2 of 3) needs site 1's ack. Site 1's store dies as the push reaches
+  // it: the write must not be acknowledged, or losing site 0 afterwards
+  // would lose an acknowledged write.
+  const test::TempDir dir("reldev_unapplied_push");
+  PersistentOptions persist;
+  persist.directory = dir.path().string();
+  ReplicaGroup group(SchemeKind::kVoting, GroupConfig::majority(3, 8, 64),
+                     persist);
+  const auto first = payload(64, 1);
+  const auto second = payload(64, 2);
+  ASSERT_TRUE(group.write_range(0, 0, first).is_ok());
+  group.crash_site(2);
+  group.crash_points(1).arm({storage::CrashPoint::kBeforeBlockWrite, 0});
+  EXPECT_EQ(group.write_range(0, 0, second).code(),
+            reldev::ErrorCode::kUnavailable);
+  ASSERT_TRUE(group.crash_points(1).crashed());
+
+  // Site 1 restarts on its store, site 0 fails and site 2 returns: the
+  // quorum {1, 2} never held the refused write and serves the old bytes.
+  group.kill_site(1);
+  ASSERT_TRUE(group.restart_site(1).is_ok());
+  group.crash_site(0);
+  ASSERT_TRUE(group.recover_site(2).is_ok());
+  auto read = group.read(1, 0);
+  ASSERT_TRUE(read.is_ok()) << read.status().to_string();
+  EXPECT_EQ(read.value(), first);
 }
 
 TEST_F(VotingTest, PartitionedMinoritiesStayConsistent) {
