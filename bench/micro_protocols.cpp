@@ -1,7 +1,8 @@
 // MICRO: google-benchmark timings of the device path itself — per-scheme
 // read/write latency over the in-process transport, the cost of the
 // eager vs piggybacked was-available policy (the §3.2 ablation), version-
-// vector operations, and block-store backends.
+// vector operations, block-store backends (per block and per range) and
+// the CRC-32C kernel.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -11,6 +12,7 @@
 #include "reldev/net/tcp/tcp_client.hpp"
 #include "reldev/storage/file_block_store.hpp"
 #include "reldev/storage/mem_block_store.hpp"
+#include "reldev/util/crc32.hpp"
 
 using namespace reldev;
 
@@ -232,5 +234,61 @@ void BM_FileStoreWrite(benchmark::State& state) {
   std::remove(path.c_str());
 }
 BENCHMARK(BM_FileStoreWrite);
+
+// The range shape of a 64 KiB device write: state.range(0) consecutive
+// 4 KiB records as one batch (one pwritev) or one range read (one preadv).
+constexpr std::size_t kRangeBlockSize = 4096;
+
+void BM_FileStoreWriteBatch(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  const std::string path = "/tmp/reldev_bench_batch.rdev";
+  auto store = storage::FileBlockStore::create(path, kBlocks, kRangeBlockSize);
+  const storage::BlockData payload(count * kRangeBlockSize, std::byte{0x55});
+  std::vector<storage::BlockWrite> batch(count);
+  storage::BlockId first = 0;
+  storage::VersionNumber version = 1;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < count; ++i) {
+      batch[i] = storage::BlockWrite{
+          first + i,
+          std::span<const std::byte>(payload).subspan(i * kRangeBlockSize,
+                                                      kRangeBlockSize),
+          version};
+    }
+    ++version;
+    benchmark::DoNotOptimize(store.value()->write_batch(batch));
+    first = first + 2 * count <= kBlocks ? first + count : 0;
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(count * kRangeBlockSize));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_FileStoreWriteBatch)->Arg(16);
+
+void BM_FileStoreReadRange(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  const std::string path = "/tmp/reldev_bench_range.rdev";
+  auto store = storage::FileBlockStore::create(path, kBlocks, kRangeBlockSize);
+  storage::BlockId first = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.value()->read_range(first, count));
+    first = first + 2 * count <= kBlocks ? first + count : 0;
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(count * kRangeBlockSize));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_FileStoreReadRange)->Arg(16);
+
+void BM_Crc32c(benchmark::State& state) {
+  const storage::BlockData data(static_cast<std::size_t>(state.range(0)),
+                                std::byte{0xA5});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c(std::span<const std::byte>(data)));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(65536);
 
 }  // namespace

@@ -86,11 +86,10 @@ Status AvailableCopyReplica::write_range(BlockId first,
   push.was_available = was_available_;
   const net::Message message{self_, std::move(push)};
   const auto replies = transport_.multicast_call(self_, peers(), message);
-  for (const auto& update : message.as<net::BatchWriteRequest>().updates) {
-    if (auto status = store_.write(update.block, update.data, update.version);
-        !status.is_ok()) {
-      return status;
-    }
+  if (auto status = store_.write_batch(
+          batch_of(message.as<net::BatchWriteRequest>().updates));
+      !status.is_ok()) {
+    return status;
   }
 
   SiteSet ack_set{self_};

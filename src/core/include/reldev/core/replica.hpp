@@ -4,7 +4,9 @@
 // The same object serves the in-process transport, the simulator, and TCP.
 #pragma once
 
+#include <algorithm>
 #include <span>
+#include <vector>
 
 #include "reldev/core/device.hpp"
 #include "reldev/core/types.hpp"
@@ -111,8 +113,10 @@ class ReplicaBase : public net::MessageHandler {
       const storage::VersionVector& theirs) const;
 
   /// The one way a peer's blocks enter the local store: write each update
-  /// that is strictly newer than the local copy, in order. Returns the
-  /// blocks replaced; the first store error stops it and is returned.
+  /// that is strictly newer than the local copy, in order, as one store
+  /// batch (an update that is not newer splits the run and is left
+  /// alone). `updates` names each block once. Returns the blocks
+  /// replaced; the first store error stops it and is returned.
   [[nodiscard]] Result<std::vector<BlockId>> apply_newer(
       std::span<const net::BlockUpdate> updates);
 
@@ -136,31 +140,31 @@ class ReplicaBase : public net::MessageHandler {
                                                       std::size_t count);
 
   /// Every engine's last read step: blocks [first, first + count) from the
-  /// local store as one flat buffer. A record that fails its checksum is
-  /// handed to `heal(block)`, which must demote and refill it, and read
-  /// again. A one-block read returns the stored buffer without a copy.
+  /// local store as one flat buffer, in one range read. Each block it
+  /// lists as corrupt is handed to `heal(block)`, which must demote and
+  /// refill it, and is then read again into its place.
   template <typename Heal>
   [[nodiscard]] Result<storage::BlockData> serve_local(BlockId first,
                                                        std::size_t count,
                                                        Heal heal) {
-    storage::BlockData out;
-    for (BlockId block = first; block < first + count; ++block) {
+    auto range = store_.read_range(first, count);
+    if (!range) return range.status();
+    storage::BlockData& out = range.value().data;
+    for (const BlockId block : range.value().corrupt) {
+      if (auto status = heal(block); !status.is_ok()) return status;
       auto stored = store_.read(block);
-      if (!stored && stored.status().code() == ErrorCode::kCorruption) {
-        if (auto status = heal(block); !status.is_ok()) return status;
-        stored = store_.read(block);
-      }
       if (!stored) return stored.status();
-      auto& data = stored.value().data;
-      if (block == first) {
-        out = std::move(data);
-        out.reserve(count * config_.block_size);
-      } else {
-        out.insert(out.end(), data.begin(), data.end());
-      }
+      std::copy(stored.value().data.begin(), stored.value().data.end(),
+                out.begin() + static_cast<std::ptrdiff_t>(
+                                  (block - first) * config_.block_size));
     }
-    return out;
+    return std::move(out);
   }
+
+  /// The store batch that writes `updates` as they stand (the coordinator's
+  /// own copy of a range write).
+  [[nodiscard]] static std::vector<storage::BlockWrite> batch_of(
+      std::span<const net::BlockUpdate> updates);
 
   /// The device's range validation (device.hpp) on this group's geometry.
   [[nodiscard]] Status check_range(BlockId first, std::size_t count) const {

@@ -22,13 +22,14 @@ Status NaiveAvailableCopyReplica::write_range(BlockId first,
   for (std::size_t i = 0; i < count.value(); ++i) {
     auto current = store_.version_of(first + i);
     if (!current) return current.status();
-    const storage::VersionNumber next = current.value() + 1;
     const auto slice = data.subspan(i * config_.block_size, config_.block_size);
-    if (auto status = store_.write(first + i, slice, next); !status.is_ok()) {
-      return status;
-    }
-    push.updates.push_back(net::BlockUpdate{
-        first + i, next, storage::BlockData(slice.begin(), slice.end())});
+    push.updates.push_back(
+        net::BlockUpdate{first + i, current.value() + 1,
+                         storage::BlockData(slice.begin(), slice.end())});
+  }
+  if (auto status = store_.write_batch(batch_of(push.updates));
+      !status.is_ok()) {
+    return status;
   }
   // The naive write: one unacknowledged grouped push to everybody. Reliable
   // delivery between live sites is assumed (§5.1); no was-available

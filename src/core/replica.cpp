@@ -184,19 +184,30 @@ net::RepairReply ReplicaBase::build_repair_reply(
   return reply;
 }
 
+std::vector<storage::BlockWrite> ReplicaBase::batch_of(
+    std::span<const net::BlockUpdate> updates) {
+  std::vector<storage::BlockWrite> batch;
+  batch.reserve(updates.size());
+  for (const auto& update : updates) {
+    batch.push_back(
+        storage::BlockWrite{update.block, update.data, update.version});
+  }
+  return batch;
+}
+
 Result<std::vector<BlockId>> ReplicaBase::apply_newer(
     std::span<const net::BlockUpdate> updates) {
+  std::vector<storage::BlockWrite> batch;
   std::vector<BlockId> replaced;
   for (const auto& update : updates) {
     auto current = store_.version_of(update.block);
     if (!current) return current.status();
     if (update.version <= current.value()) continue;  // ours is as new
-    if (auto status = store_.write(update.block, update.data, update.version);
-        !status.is_ok()) {
-      return status;
-    }
+    batch.push_back(
+        storage::BlockWrite{update.block, update.data, update.version});
     replaced.push_back(update.block);
   }
+  if (auto status = store_.write_batch(batch); !status.is_ok()) return status;
   return replaced;
 }
 

@@ -143,13 +143,14 @@ Result<VotingReplica::Push> VotingReplica::vote_and_write_locally(
   net::BatchWriteRequest request;
   request.updates.reserve(count.value());
   for (std::size_t i = 0; i < count.value(); ++i) {
-    const storage::VersionNumber next = votes.max_versions[i] + 1;
     const auto slice = data.subspan(i * config_.block_size, config_.block_size);
-    if (auto status = store_.write(first + i, slice, next); !status.is_ok()) {
-      return status;
-    }
-    request.updates.push_back(net::BlockUpdate{
-        first + i, next, storage::BlockData(slice.begin(), slice.end())});
+    request.updates.push_back(
+        net::BlockUpdate{first + i, votes.max_versions[i] + 1,
+                         storage::BlockData(slice.begin(), slice.end())});
+  }
+  if (auto status = store_.write_batch(batch_of(request.updates));
+      !status.is_ok()) {
+    return status;
   }
   Push push{SiteSet{}, net::Message{self_, std::move(request)}};
   for (const auto& [site, reply] : votes.replies) {

@@ -43,6 +43,13 @@ inline constexpr std::size_t kFrameTrailerSize = 4;  // CRC-32C
 [[nodiscard]] std::uint32_t decode_frame_trailer(
     std::span<const std::byte> trailer);
 
+/// The whole frame for `payload` (prefix, payload, trailer): the bytes a
+/// sender writes. Built once per request however many sockets carry it.
+/// kInvalidArgument for a payload above kMaxFramePayload.
+[[nodiscard]] Result<std::vector<std::byte>> encode_frame(
+    std::span<const std::byte> payload);
+
+/// encode_frame, then write it all to `socket`.
 [[nodiscard]] Status write_frame(Socket& socket, std::span<const std::byte> payload);
 
 /// Reads one frame. kUnavailable on orderly EOF at a frame boundary;

@@ -79,9 +79,10 @@ class TcpChannel {
     bool connecting = false;
   };
 
-  /// Step one of a call: write `frame` (an encoded Message) on an idle
-  /// pooled socket that is still open, or begin a new connection for it
-  /// without waiting for the handshake. An idle socket that polls readable
+  /// Step one of a call: write `frame` (a whole frame from encode_frame,
+  /// built once per call or multicast round) on an idle pooled socket
+  /// that is still open, or begin a new connection for it without
+  /// waiting for the handshake. An idle socket that polls readable
   /// has seen EOF or a reset and is closed unused. A pooled socket whose
   /// write fails is dropped and the next one tried: the server decodes
   /// nothing until a whole frame is in, so the request cannot have run.

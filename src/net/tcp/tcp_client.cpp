@@ -22,7 +22,7 @@ Status write_request(Socket& socket, std::span<const std::byte> frame,
                      Clock::time_point deadline) {
   socket.set_send_timeout(
       std::max(remaining_until(deadline), std::chrono::milliseconds{1}));
-  return write_frame(socket, frame);
+  return socket.write_all(frame);
 }
 
 /// What to poll a pending request for: the handshake's end, then the reply.
@@ -157,7 +157,9 @@ Result<Message> TcpChannel::call(const Message& request) {
 
 Result<Message> TcpChannel::call(const Message& request,
                                  Clock::time_point deadline) {
-  const auto frame = request.encode();
+  const auto encoded = encode_frame(request.encode());
+  if (!encoded) return encoded.status();
+  const auto& frame = encoded.value();
   auto pending = send(frame, deadline);
   if (!pending) return pending.status();
   auto done = advance(pending.value(), frame, deadline);
@@ -403,12 +405,16 @@ std::vector<GatherReply> TcpPeerTransport::multicast_call(
     deadline = Clock::now() + call_timeout_;
   }
   if (legs.empty()) return {};
+  // One frame for the whole round: every leg, every post-connect write and
+  // the reaper's adopted legs write these same bytes.
+  auto encoded = encode_frame(request.encode());
+  if (!encoded) return {};
+  auto frame = std::move(encoded).value();
   TrafficMeter* const meter = meter_.load(std::memory_order_acquire);
   const OpKind kind = meter != nullptr ? meter->current_op() : OpKind::kOther;
   count(legs.size());  // one request transmission per addressed peer
 
   // Scatter: the request goes to every peer before any reply is awaited.
-  auto frame = request.encode();
   std::erase_if(legs, [&](Leg& leg) {
     auto pending = leg.channel->send(frame, deadline);
     if (!pending) return true;  // unreachable: absent from the result

@@ -204,6 +204,28 @@ Status CrashPointBlockStore::write(BlockId block,
   return store->write(block, data, version);
 }
 
+Status CrashPointBlockStore::write_batch(std::span<const BlockWrite> writes) {
+  BlockStore* store = active();
+  if (crashed_ || store == nullptr) return crashed_error();
+  switch (schedule_.point) {
+    case CrashPoint::kBeforeBlockWrite:
+    case CrashPoint::kMidBlockWrite:
+    case CrashPoint::kAfterBlockWrite:
+      // The base loop: validate every entry, then write() each, so the
+      // armed point counts (and tears) single blocks.
+      return BlockStore::write_batch(writes);
+    default:
+      return store->write_batch(writes);
+  }
+}
+
+Result<RangeRead> CrashPointBlockStore::read_range(BlockId first,
+                                                   std::size_t count) const {
+  BlockStore* store = active();
+  if (crashed_ || store == nullptr) return crashed_error();
+  return store->read_range(first, count);
+}
+
 Result<VersionNumber> CrashPointBlockStore::version_of(BlockId block) const {
   BlockStore* store = active();
   if (crashed_ || store == nullptr) return crashed_error();

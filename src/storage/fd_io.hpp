@@ -5,12 +5,14 @@
 #pragma once
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 
 #include "reldev/util/lockdep.hpp"
@@ -62,6 +64,60 @@ inline Result<ReadOutcome> read_at(int fd, std::uint64_t offset, void* data,
     done += static_cast<std::size_t>(n);
   }
   return ReadOutcome::kOk;
+}
+
+/// Drop the first `done` bytes from the front of `iov`: the iovecs fully
+/// covered go, the next one starts where the transfer stopped.
+inline std::span<::iovec> advance_iov(std::span<::iovec> iov,
+                                      std::size_t done) {
+  while (!iov.empty() && done >= iov.front().iov_len) {
+    done -= iov.front().iov_len;
+    iov = iov.subspan(1);
+  }
+  if (!iov.empty()) {
+    iov.front().iov_base = static_cast<char*>(iov.front().iov_base) + done;
+    iov.front().iov_len -= done;
+  }
+  return iov;
+}
+
+/// Full-coverage pwritev loop: every byte of `iov` lands at `offset`
+/// onward. The iovecs are consumed (advanced in place) as bytes land.
+inline Status writev_at(int fd, std::uint64_t offset, std::span<::iovec> iov) {
+  lockdep::check_blocking("pwritev");
+  while (!iov.empty()) {
+    const ::ssize_t n = ::pwritev(fd, iov.data(), static_cast<int>(iov.size()),
+                                  static_cast<::off_t>(offset));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errors::io_error("write failed: " + errno_text());
+    }
+    offset += static_cast<std::uint64_t>(n);
+    iov = advance_iov(iov, static_cast<std::size_t>(n));
+  }
+  return Status::ok();
+}
+
+/// Full-coverage preadv loop from `offset` into `iov`, consumed in place.
+/// Returns the bytes read: less than the iovecs' total only at end of
+/// file (a truncated tail), never on a true I/O error, which fails.
+inline Result<std::size_t> readv_at(int fd, std::uint64_t offset,
+                                    std::span<::iovec> iov) {
+  lockdep::check_blocking("preadv");
+  std::size_t total = 0;
+  while (!iov.empty()) {
+    const ::ssize_t n = ::preadv(fd, iov.data(), static_cast<int>(iov.size()),
+                                 static_cast<::off_t>(offset));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errors::io_error("read failed: " + errno_text());
+    }
+    if (n == 0) break;  // end of file
+    offset += static_cast<std::uint64_t>(n);
+    total += static_cast<std::size_t>(n);
+    iov = advance_iov(iov, static_cast<std::size_t>(n));
+  }
+  return total;
 }
 
 /// fsync(2) with EINTR retry.

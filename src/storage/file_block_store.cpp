@@ -1,9 +1,13 @@
 #include "reldev/storage/file_block_store.hpp"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
+#include <climits>
 #include <filesystem>
 #include <optional>
 #include <utility>
@@ -76,6 +80,40 @@ Result<Header> decode_header(std::span<const std::byte> raw) {
   }
   if (crc.value() != expected) return errors::corruption("store header CRC");
   return Header{block_count.value(), block_size.value()};
+}
+
+// A run of consecutive records is one pwritev/preadv of two iovecs per
+// record (its header, then its payload in the caller's buffer). Its
+// header and iovec arrays live on the stack, and keeping them under one
+// 4 KiB page matters: at IOV_MAX / 2 records (a 22 KiB frame), four
+// threads writing single 4 KiB records to one store took about twice as
+// long per write as at 64 records. 64 records is a whole 16-block range
+// of 4 KiB blocks in one call.
+constexpr std::size_t kMaxRunRecords = 64;
+static_assert(2 * kMaxRunRecords <= IOV_MAX);
+
+// The opening scrub reads about this many bytes of records per range.
+constexpr std::size_t kScrubReadBytes = std::size_t{1} << 20;
+
+// Record header: u64 version, then u32 CRC-32C of the payload, both
+// little-endian (the BufferWriter encoding).
+using RecordHeader = std::array<std::byte, FileBlockStore::kBlockRecordHeader>;
+
+void put_le(std::byte* out, std::uint64_t value, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    out[i] = static_cast<std::byte>(value >> (8 * i));
+  }
+}
+
+/// How many leading entries of `writes` name consecutive blocks, capped
+/// at one run.
+std::size_t run_length(std::span<const BlockWrite> writes) {
+  std::size_t run = 1;
+  while (run < writes.size() && run < kMaxRunRecords &&
+         writes[run].block == writes[run - 1].block + 1) {
+    ++run;
+  }
+  return run;
 }
 
 std::uint64_t first_block_offset() {
@@ -197,12 +235,16 @@ Result<std::unique_ptr<FileBlockStore>> FileBlockStore::create(
       return status;
     }
   }
-  // Zero-fill every block with version 0.
+  // Zero-fill every block with version 0, one run of records at a time.
   const std::vector<std::byte> zeros(block_size, std::byte{0});
-  for (BlockId block = 0; block < block_count; ++block) {
-    if (auto status = store->write(block, zeros, 0); !status.is_ok()) {
-      return status;
+  std::vector<BlockWrite> run;
+  for (BlockId first = 0; first < block_count; first += kMaxRunRecords) {
+    const BlockId end = std::min<BlockId>(block_count, first + kMaxRunRecords);
+    run.clear();
+    for (BlockId block = first; block < end; ++block) {
+      run.push_back(BlockWrite{block, zeros, 0});
     }
+    if (auto status = store->write_batch(run); !status.is_ok()) return status;
   }
   // The new store must be durable before anyone relies on it: fsync the
   // file, then the directory entry that names it. A directory fsync the
@@ -257,30 +299,25 @@ Status FileBlockStore::load_metadata_slots() {
 }
 
 Status FileBlockStore::scrub_records() {
-  std::vector<std::byte> record(kBlockRecordHeader + block_size_);
-  for (BlockId block = 0; block < block_count_; ++block) {
-    auto outcome = read_at(fd_, block_record_offset(block), record.data(),
-                           record.size());
-    if (!outcome) {
+  const std::size_t per_read = std::clamp<std::size_t>(
+      kScrubReadBytes / (kBlockRecordHeader + block_size_), 1, kMaxRunRecords);
+  for (BlockId first = 0; first < block_count_; first += per_read) {
+    const std::size_t count =
+        std::min<std::size_t>(per_read, block_count_ - first);
+    auto range = read_range(first, count);
+    if (!range) {
       // A record whose bytes cannot be read at all is not a torn write —
-      // name the block and refuse to open.
-      return errors::io_error("block " + std::to_string(block) + ": " +
-                              outcome.status().message());
-    }
-    bool torn = outcome.value() == ReadOutcome::kShort;
-    if (!torn) {
-      BufferReader reader(record);
-      const std::uint64_t version = reader.get_u64().value();
-      const std::uint32_t stored_crc = reader.get_u32().value();
-      const auto payload =
-          std::span<const std::byte>(record).subspan(kBlockRecordHeader);
-      if (crc32c(payload) != stored_crc) {
-        torn = true;
-      } else {
-        versions_[block] = version;
+      // find and name the block, and refuse to open.
+      BlockId failed = first;
+      while (failed + 1 < first + count && read_range(failed, 1).is_ok()) {
+        ++failed;
       }
+      return errors::io_error("block " + std::to_string(failed) + ": " +
+                              range.status().message());
     }
-    if (torn) {
+    std::copy(range.value().versions.begin(), range.value().versions.end(),
+              versions_.begin() + static_cast<std::ptrdiff_t>(first));
+    for (const BlockId block : range.value().corrupt) {
       // Demote: version 0, zeroed payload, valid CRC. The block now looks
       // out-of-date to every engine and heals lazily from peers.
       const std::vector<std::byte> zeros(block_size_, std::byte{0});
@@ -302,42 +339,89 @@ Status FileBlockStore::scrub_records() {
 }
 
 Result<VersionedBlock> FileBlockStore::read(BlockId block) const {
-  if (auto status = check_block(block); !status.is_ok()) return status;
-  std::vector<std::byte> record(kBlockRecordHeader + block_size_);
-  auto outcome =
-      read_at(fd_, block_record_offset(block), record.data(), record.size());
-  if (!outcome) return outcome.status();
-  if (outcome.value() == ReadOutcome::kShort) {
+  auto range = read_range(block, 1);
+  if (!range) return range.status();
+  if (!range.value().corrupt.empty()) {
     return errors::corruption("block " + std::to_string(block) +
-                              " record truncated");
+                              " record torn or CRC mismatch");
   }
-  BufferReader reader(record);
-  VersionedBlock result;
-  result.version = reader.get_u64().value();
-  const std::uint32_t stored_crc = reader.get_u32().value();
-  result.data = reader.get_raw(block_size_).value();
-  const std::uint32_t computed =
-      crc32c(std::span<const std::byte>(result.data));
-  if (stored_crc != computed) {
-    return errors::corruption("block " + std::to_string(block) +
-                              " CRC mismatch");
-  }
-  return result;
+  return VersionedBlock{std::move(range.value().data),
+                        range.value().versions.front()};
 }
 
 Status FileBlockStore::write(BlockId block, std::span<const std::byte> data,
                              VersionNumber version) {
-  if (auto status = check_write(block, data); !status.is_ok()) return status;
-  BufferWriter writer(kBlockRecordHeader + block_size_);
-  writer.put_u64(version);
-  writer.put_u32(crc32c(data));
-  writer.put_raw(data);
-  if (auto status = write_at(fd_, block_record_offset(block),
-                             writer.bytes().data(), writer.size());
-      !status.is_ok()) {
-    return status;
+  const BlockWrite entry{block, data, version};
+  return write_batch(std::span<const BlockWrite>(&entry, 1));
+}
+
+Result<RangeRead> FileBlockStore::read_range(BlockId first,
+                                             std::size_t count) const {
+  if (auto status = check_range(first, count); !status.is_ok()) return status;
+  RangeRead range;
+  range.data.resize(count * block_size_);
+  range.versions.resize(count);
+  // Each record lands in place: its header in `headers`, its payload
+  // straight in the caller's flat buffer.
+  std::array<RecordHeader, kMaxRunRecords> headers{};
+  std::array<::iovec, 2 * kMaxRunRecords> iov{};
+  for (std::size_t done = 0; done < count;) {
+    const std::size_t run = std::min(count - done, kMaxRunRecords);
+    std::byte* const payloads = range.data.data() + done * block_size_;
+    for (std::size_t i = 0; i < run; ++i) {
+      iov[2 * i] = ::iovec{headers[i].data(), kBlockRecordHeader};
+      iov[2 * i + 1] = ::iovec{payloads + i * block_size_, block_size_};
+    }
+    auto got = detail::readv_at(fd_, block_record_offset(first + done),
+                                std::span<::iovec>(iov.data(), 2 * run));
+    if (!got) return got.status();
+    for (std::size_t i = 0; i < run; ++i) {
+      const std::span<std::byte> payload(payloads + i * block_size_,
+                                         block_size_);
+      if (got.value() >= (i + 1) * (kBlockRecordHeader + block_size_)) {
+        BufferReader header(headers[i]);
+        const std::uint64_t version = header.get_u64().value();
+        if (crc32c(payload) == header.get_u32().value()) {
+          range.versions[done + i] = version;
+          continue;
+        }
+      }
+      std::fill(payload.begin(), payload.end(), std::byte{0});
+      range.versions[done + i] = 0;
+      range.corrupt.push_back(first + done + i);
+    }
+    done += run;
   }
-  versions_[block] = version;
+  return range;
+}
+
+Status FileBlockStore::write_batch(std::span<const BlockWrite> writes) {
+  if (auto status = check_batch(writes); !status.is_ok()) return status;
+  // One pwritev per run of consecutive blocks: the headers come from
+  // `headers`, the payloads straight from the caller's buffers.
+  std::array<RecordHeader, kMaxRunRecords> headers{};
+  std::array<::iovec, 2 * kMaxRunRecords> iov{};
+  while (!writes.empty()) {
+    const std::size_t run = run_length(writes);
+    for (std::size_t i = 0; i < run; ++i) {
+      const BlockWrite& entry = writes[i];
+      put_le(headers[i].data(), entry.version, 8);
+      put_le(headers[i].data() + 8, crc32c(entry.data), 4);
+      iov[2 * i] = ::iovec{headers[i].data(), kBlockRecordHeader};
+      iov[2 * i + 1] = ::iovec{const_cast<std::byte*>(entry.data.data()),
+                               entry.data.size()};
+    }
+    if (auto status =
+            detail::writev_at(fd_, block_record_offset(writes.front().block),
+                              std::span<::iovec>(iov.data(), 2 * run));
+        !status.is_ok()) {
+      return status;
+    }
+    for (std::size_t i = 0; i < run; ++i) {
+      versions_[writes[i].block] = writes[i].version;
+    }
+    writes = writes.subspan(run);
+  }
   return Status::ok();
 }
 

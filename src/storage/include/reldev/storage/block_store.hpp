@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "reldev/storage/block.hpp"
 #include "reldev/storage/version.hpp"
@@ -18,6 +19,24 @@ namespace reldev::storage {
 /// 0 means "nothing accepted yet"; sequences never repeat within one open
 /// store instance.
 using CommitSequence = std::uint64_t;
+
+/// One entry of a write batch. `data` must be exactly block_size() bytes
+/// and stay valid for the call; the store copies it into the record.
+struct BlockWrite {
+  BlockId block = 0;
+  std::span<const std::byte> data;
+  VersionNumber version = 0;
+};
+
+/// The result of a range read: blocks [first, first + count) as one flat
+/// buffer plus each block's version. A block whose record failed its
+/// checksum (or is cut short) is listed in `corrupt`, in block order, and
+/// reads as version 0 zeros; the store itself is left as it is.
+struct RangeRead {
+  BlockData data;
+  std::vector<VersionNumber> versions;
+  std::vector<BlockId> corrupt;
+};
 
 class BlockStore {
  public:
@@ -33,6 +52,20 @@ class BlockStore {
   /// must be exactly block_size() bytes.
   [[nodiscard]] virtual Status write(BlockId block, std::span<const std::byte> data,
                        VersionNumber version) = 0;
+
+  /// Write every entry of `writes`, in order, as if by write() each. All
+  /// entries are validated before anything is written, so a bad entry
+  /// writes nothing; the first store error stops the batch. The default
+  /// loops over write(); the file store serves a run of consecutive
+  /// blocks with one vectored write.
+  [[nodiscard]] virtual Status write_batch(std::span<const BlockWrite> writes);
+
+  /// Read blocks [first, first + count). A record that fails its checksum
+  /// is reported in RangeRead::corrupt rather than failing the call; any
+  /// other error fails it. The default loops over read(); the file store
+  /// serves a run of records with one vectored read.
+  [[nodiscard]] virtual Result<RangeRead> read_range(BlockId first,
+                                                     std::size_t count) const;
 
   /// The version of one block without reading its payload.
   [[nodiscard]] virtual Result<VersionNumber> version_of(BlockId block) const = 0;
@@ -84,6 +117,10 @@ class BlockStore {
   /// Shared argument validation for implementations.
   [[nodiscard]] Status check_write(BlockId block, std::span<const std::byte> data) const;
   [[nodiscard]] Status check_block(BlockId block) const;
+  /// [first, first + count) lies on the device.
+  [[nodiscard]] Status check_range(BlockId first, std::size_t count) const;
+  /// check_write for every entry.
+  [[nodiscard]] Status check_batch(std::span<const BlockWrite> writes) const;
 };
 
 }  // namespace reldev::storage

@@ -142,6 +142,11 @@ class CrashPointBlockStore final : public BlockStore {
   [[nodiscard]] Result<VersionedBlock> read(BlockId block) const override;
   [[nodiscard]] Status write(BlockId block, std::span<const std::byte> data,
                VersionNumber version) override;
+  /// Forwarded whole unless a block-write point is armed; then written
+  /// block by block, so `nth` still names one block of the batch.
+  [[nodiscard]] Status write_batch(std::span<const BlockWrite> writes) override;
+  [[nodiscard]] Result<RangeRead> read_range(BlockId first,
+                                             std::size_t count) const override;
   [[nodiscard]] Result<VersionNumber> version_of(BlockId block) const override;
   [[nodiscard]] VersionVector version_vector() const override;
   [[nodiscard]] Status put_metadata(std::span<const std::byte> blob) override;

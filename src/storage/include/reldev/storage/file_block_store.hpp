@@ -5,7 +5,7 @@
 // built for fail-stop crashes mid-write:
 //
 //   * Durability contract: write()/put_metadata() reach the OS immediately
-//     (unbuffered pwrite), but only sync() — a real fsync(2) of the file
+//     (unbuffered pwrite/pwritev), but only sync() — a real fsync(2) of the file
 //     descriptor — makes them power-failure durable. An operation is
 //     "committed" once a sync() issued after it returns OK; create()
 //     syncs the fully initialized file (and its parent directory entry)
@@ -61,6 +61,12 @@ class FileBlockStore final : public BlockStore {
   [[nodiscard]] Result<VersionedBlock> read(BlockId block) const override;
   [[nodiscard]] Status write(BlockId block, std::span<const std::byte> data,
                VersionNumber version) override;
+  /// One pwritev per run of consecutive blocks (split at 64 records),
+  /// straight from the callers' buffers.
+  [[nodiscard]] Status write_batch(std::span<const BlockWrite> writes) override;
+  /// One preadv per run of records, payloads straight into the result.
+  [[nodiscard]] Result<RangeRead> read_range(BlockId first,
+                                             std::size_t count) const override;
   [[nodiscard]] Result<VersionNumber> version_of(BlockId block) const override;
   [[nodiscard]] VersionVector version_vector() const override;
 

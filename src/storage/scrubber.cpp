@@ -24,19 +24,42 @@ Result<DigestScan> scan_digests(BlockStore& store, BlockId first,
   scan.digests.reserve(end - first);
   const std::vector<std::byte> zero(store.block_size(), std::byte{0});
   const std::uint32_t zero_digest = scrub_digest(zero);
-  for (BlockId block = first; block < end; ++block) {
-    auto copy = store.read(block);
-    if (copy.is_ok()) {
-      scan.versions.push_back(copy.value().version);
-      scan.digests.push_back(scrub_digest(copy.value().data));
-      continue;
-    }
-    // Unreadable payload: demote so the engines treat it as an
-    // out-of-date copy, and report the demoted identity.
+  // Unreadable payload: demote so the engines treat it as an out-of-date
+  // copy, and report the demoted identity.
+  const auto unreadable = [&](BlockId block) -> Status {
     if (auto status = store.demote(block); !status.is_ok()) return status;
     scan.versions.push_back(0);
     scan.digests.push_back(zero_digest);
     scan.demoted.push_back(block);
+    return Status::ok();
+  };
+  auto range = store.read_range(first, end - first);
+  if (!range) {
+    // Some record cannot be read at all: find which, block by block.
+    for (BlockId block = first; block < end; ++block) {
+      auto copy = store.read(block);
+      if (!copy) {
+        if (auto status = unreadable(block); !status.is_ok()) return status;
+        continue;
+      }
+      scan.versions.push_back(copy.value().version);
+      scan.digests.push_back(scrub_digest(copy.value().data));
+    }
+    return scan;
+  }
+  const std::size_t block_size = store.block_size();
+  auto corrupt = range.value().corrupt.begin();
+  for (BlockId block = first; block < end; ++block) {
+    if (corrupt != range.value().corrupt.end() && *corrupt == block) {
+      ++corrupt;
+      if (auto status = unreadable(block); !status.is_ok()) return status;
+      continue;
+    }
+    const std::size_t i = block - first;
+    scan.versions.push_back(range.value().versions[i]);
+    scan.digests.push_back(scrub_digest(
+        std::span<const std::byte>(range.value().data)
+            .subspan(i * block_size, block_size)));
   }
   return scan;
 }

@@ -35,6 +35,79 @@ std::uint32_t crc32c_sw(std::span<const std::byte> data,
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define RELDEV_CRC32C_HW 1
+
+// The register after appending `bytes` zero bytes is a linear function of
+// the register before (GF(2)), so it is fully described by where each of
+// the four register bytes goes: shift(crc) = t[0][b0] ^ t[1][b1] ^ t[2][b2]
+// ^ t[3][b3]. Built once, at compile time, from the byte table.
+using ZeroShift = std::array<std::array<std::uint32_t, 256>, 4>;
+
+constexpr ZeroShift make_zero_shift(std::size_t bytes) {
+  std::array<std::uint32_t, 32> bit_image{};
+  for (std::size_t bit = 0; bit < 32; ++bit) {
+    std::uint32_t crc = 1u << bit;
+    for (std::size_t i = 0; i < bytes; ++i) {
+      crc = (crc >> 8) ^ kTable[crc & 0xffu];
+    }
+    bit_image[bit] = crc;
+  }
+  ZeroShift table{};
+  for (std::size_t lane = 0; lane < 4; ++lane) {
+    for (std::uint32_t value = 0; value < 256; ++value) {
+      std::uint32_t image = 0;
+      for (std::size_t bit = 0; bit < 8; ++bit) {
+        if ((value >> bit) & 1u) image ^= bit_image[lane * 8 + bit];
+      }
+      table[lane][value] = image;
+    }
+  }
+  return table;
+}
+
+// Each of the three interleaved streams covers one third of a chunk:
+// long chunks first, then short ones, then the single-stream tail.
+constexpr std::size_t kLongStream = 1024;
+constexpr std::size_t kShortStream = 256;
+constexpr ZeroShift kLongShift = make_zero_shift(kLongStream);
+constexpr ZeroShift kShortShift = make_zero_shift(kShortStream);
+
+std::uint32_t shift_past(const ZeroShift& table, std::uint32_t crc) noexcept {
+  return table[0][crc & 0xffu] ^ table[1][(crc >> 8) & 0xffu] ^
+         table[2][(crc >> 16) & 0xffu] ^ table[3][crc >> 24];
+}
+
+__attribute__((target("sse4.2"))) inline std::uint64_t load_crc(
+    std::uint64_t crc, const std::byte* p) noexcept {
+  std::uint64_t chunk;
+  std::memcpy(&chunk, p, 8);
+  return __builtin_ia32_crc32di(crc, chunk);
+}
+
+// Three independent crc32 streams over the thirds of a 3 * stream chunk
+// keep the instruction's three-cycle latency pipeline full; the streams'
+// registers are then joined by shifting the earlier ones past the bytes
+// that follow them (Adler's zero-append combination).
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_3way(
+    const std::byte*& p, std::size_t& n, std::uint32_t crc, std::size_t stream,
+    const ZeroShift& table) noexcept {
+  while (n >= 3 * stream) {
+    std::uint64_t crc0 = crc;
+    std::uint64_t crc1 = 0;
+    std::uint64_t crc2 = 0;
+    for (std::size_t i = 0; i < stream; i += 8) {
+      crc0 = load_crc(crc0, p + i);
+      crc1 = load_crc(crc1, p + stream + i);
+      crc2 = load_crc(crc2, p + 2 * stream + i);
+    }
+    crc = shift_past(table, static_cast<std::uint32_t>(crc0)) ^
+          static_cast<std::uint32_t>(crc1);
+    crc = shift_past(table, crc) ^ static_cast<std::uint32_t>(crc2);
+    p += 3 * stream;
+    n -= 3 * stream;
+  }
+  return crc;
+}
+
 // The SSE4.2 crc32 instruction computes exactly this reflected-Castagnoli
 // CRC, 8 bytes per issue instead of 1 byte per table lookup — the block
 // payload checksums on the storage write path are where this matters.
@@ -42,11 +115,11 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
     std::span<const std::byte> data, std::uint32_t crc) noexcept {
   const std::byte* p = data.data();
   std::size_t n = data.size();
+  crc = crc32c_3way(p, n, crc, kLongStream, kLongShift);
+  crc = crc32c_3way(p, n, crc, kShortStream, kShortShift);
   std::uint64_t crc64 = crc;
   while (n >= 8) {
-    std::uint64_t chunk;
-    std::memcpy(&chunk, p, 8);
-    crc64 = __builtin_ia32_crc32di(crc64, chunk);
+    crc64 = load_crc(crc64, p);
     p += 8;
     n -= 8;
   }

@@ -1,7 +1,8 @@
 // Edge cases of the replica machinery shared by all schemes: unexpected
 // messages get error replies, failed replicas answer nothing, client
 // messages are dispatched by the base class, and repair replies apply
-// correctly in corner cases, and a push is acknowledged only once applied.
+// correctly in corner cases, and a push is acknowledged only once applied
+// and applies only its strictly newer blocks.
 #include <gtest/gtest.h>
 
 #include "reldev/core/group.hpp"
@@ -133,6 +134,48 @@ TEST_P(DeadStorePushTest, PushTheStoreRefusedIsNotAcked) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, DeadStorePushTest,
+                         ::testing::Values(SchemeKind::kVoting,
+                                           SchemeKind::kAvailableCopy,
+                                           SchemeKind::kNaiveAvailableCopy));
+
+/// A group on file stores, so a push lands through the file store's batch
+/// path: one vectored write per run of consecutive records.
+class NewerOnlyPushTest : public ::testing::TestWithParam<SchemeKind> {
+ protected:
+  NewerOnlyPushTest()
+      : group_(GetParam(), GroupConfig::majority(3, 4, 64), on_disk()) {}
+  PersistentOptions on_disk() const {
+    PersistentOptions persist;
+    persist.directory = dir_.path().string();
+    return persist;
+  }
+  test::TempDir dir_{"reldev_newer_only_push"};
+  ReplicaGroup group_;
+};
+
+TEST_P(NewerOnlyPushTest, OlderMiddleBlockIsKeptAndTheRestReplaced) {
+  // Site 1 already holds block 1 at version 10; the push carries blocks
+  // 0-2 at version 5. Only the strictly newer blocks apply, so the run
+  // splits around block 1 and leaves it as it was.
+  ASSERT_TRUE(group_.store(1).write(1, payload(64, 9), 10).is_ok());
+  const net::Message push{
+      0, net::BatchWriteRequest{{net::BlockUpdate{0, 5, payload(64, 1)},
+                                 net::BlockUpdate{1, 5, payload(64, 2)},
+                                 net::BlockUpdate{2, 5, payload(64, 3)}},
+                                {}}};
+  const auto reply = group_.replica(1).handle(push);
+  ASSERT_TRUE(reply.holds<net::WriteAllAck>()) << reply.name();
+  auto& store = group_.store(1);
+  EXPECT_EQ(store.read(0).value().version, 5u);
+  EXPECT_EQ(store.read(0).value().data, payload(64, 1));
+  EXPECT_EQ(store.read(1).value().version, 10u);
+  EXPECT_EQ(store.read(1).value().data, payload(64, 9));
+  EXPECT_EQ(store.read(2).value().version, 5u);
+  EXPECT_EQ(store.read(2).value().data, payload(64, 3));
+  EXPECT_EQ(store.read(3).value().version, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, NewerOnlyPushTest,
                          ::testing::Values(SchemeKind::kVoting,
                                            SchemeKind::kAvailableCopy,
                                            SchemeKind::kNaiveAvailableCopy));

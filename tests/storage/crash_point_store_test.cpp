@@ -66,6 +66,56 @@ TEST_F(CrashPointStoreTest, FiresAtNthEventOnly) {
   EXPECT_EQ(store_->read(0).value().data, pattern(64, 1));
 }
 
+TEST_F(CrashPointStoreTest, MidBlockWriteTearsTheNthBlockOfABatch) {
+  // An armed block-write point sees a batch block by block, so nth = 5
+  // tears block first + 5 of a 16-block batch: the five before it land,
+  // nothing after it is written.
+  const std::filesystem::path path = dir_.path() / "batch.rdev";
+  CrashPointBlockStore store(FileBlockStore::create(path.string(), 32, 64).value());
+  constexpr BlockId kFirst = 8;
+  std::vector<BlockData> payloads;
+  std::vector<BlockWrite> batch;
+  for (std::uint8_t i = 0; i < 16; ++i) payloads.push_back(pattern(64, i));
+  for (std::size_t i = 0; i < 16; ++i) {
+    batch.push_back(BlockWrite{kFirst + i, payloads[i], 4});
+  }
+  store.arm(CrashSchedule{CrashPoint::kMidBlockWrite, 5});
+  EXPECT_EQ(store.write_batch(batch).code(), ErrorCode::kIoError);
+  ASSERT_TRUE(store.crashed());
+  (void)store.surrender();
+  auto reopened = FileBlockStore::open(path.string());
+  ASSERT_TRUE(reopened.is_ok());
+  EXPECT_EQ(reopened.value()->scrub_demoted(),
+            std::vector<BlockId>{kFirst + 5});
+  for (std::size_t i = 0; i < 16; ++i) {
+    auto block = reopened.value()->read(kFirst + i);
+    ASSERT_TRUE(block.is_ok());
+    if (i < 5) {
+      EXPECT_EQ(block.value().version, 4u) << i;
+      EXPECT_EQ(block.value().data, payloads[i]) << i;
+    } else {
+      EXPECT_EQ(block.value().version, 0u) << i;
+      EXPECT_EQ(block.value().data, BlockData(64, std::byte{0})) << i;
+    }
+  }
+}
+
+TEST_F(CrashPointStoreTest, BatchIsForwardedWholeWhenNoBlockPointIsArmed) {
+  store_->arm(CrashSchedule{CrashPoint::kBeforeSync, 0});
+  const auto a = pattern(64, 1);
+  const auto b = pattern(64, 2);
+  const std::vector<BlockWrite> batch{{1, a, 3}, {2, b, 3}};
+  ASSERT_TRUE(store_->write_batch(batch).is_ok());
+  EXPECT_FALSE(store_->crashed());
+  auto range = store_->read_range(1, 2);
+  ASSERT_TRUE(range.is_ok());
+  EXPECT_EQ(range.value().versions, (std::vector<VersionNumber>{3, 3}));
+  EXPECT_TRUE(range.value().corrupt.empty());
+  BlockData both = a;
+  both.insert(both.end(), b.begin(), b.end());
+  EXPECT_EQ(range.value().data, both);
+}
+
 TEST_F(CrashPointStoreTest, MidBlockWriteLeavesTornRecord) {
   ASSERT_TRUE(store_->write(1, pattern(64, 5), 3).is_ok());
   ASSERT_TRUE(store_->sync().is_ok());

@@ -43,6 +43,29 @@ TEST(MemBlockStoreTest, WritesAreIndependentPerBlock) {
   EXPECT_EQ(store.read(2).value().version, 0u);
 }
 
+TEST(MemBlockStoreTest, BatchAndRangeDefaultsGoBlockByBlock) {
+  // The BlockStore defaults: a batch validates every entry first, then
+  // writes each; a range read concatenates the blocks.
+  MemBlockStore store(4, 64);
+  const auto a = pattern(64, 1);
+  const auto b = pattern(64, 2);
+  const std::vector<BlockWrite> bad{{0, a, 1}, {4, b, 1}};
+  EXPECT_EQ(store.write_batch(bad).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(store.version_of(0).value(), 0u);
+  const std::vector<BlockWrite> good{{1, a, 3}, {2, b, 4}};
+  ASSERT_TRUE(store.write_batch(good).is_ok());
+  auto range = store.read_range(1, 3);
+  ASSERT_TRUE(range.is_ok());
+  EXPECT_EQ(range.value().versions, (std::vector<VersionNumber>{3, 4, 0}));
+  EXPECT_TRUE(range.value().corrupt.empty());
+  BlockData expected = a;
+  expected.insert(expected.end(), b.begin(), b.end());
+  expected.resize(3 * 64, std::byte{0});
+  EXPECT_EQ(range.value().data, expected);
+  EXPECT_EQ(store.read_range(2, 3).status().code(),
+            ErrorCode::kInvalidArgument);
+}
+
 TEST(MemBlockStoreTest, VersionVectorSnapshot) {
   MemBlockStore store(3, 16);
   ASSERT_TRUE(store.write(1, pattern(16, 3), 4).is_ok());
