@@ -10,7 +10,11 @@ AvailableCopyReplica::AvailableCopyReplica(SiteId self, GroupConfig config,
                                            WasAvailablePolicy policy)
     : ReplicaBase(self, std::move(config), store, transport),
       policy_(policy) {
-  load_metadata();
+  if (policy_ == WasAvailablePolicy::kFixed) {
+    was_available_ = config_.all_sites();
+  } else {
+    load_metadata();
+  }
 }
 
 void AvailableCopyReplica::load_metadata() {
@@ -72,7 +76,8 @@ Status AvailableCopyReplica::write_range(BlockId first,
   // Write to all available copies: every update in one grouped push.
   // Recipients apply the whole batch in one handler invocation; peers that
   // are up and available acknowledge, and the ack set *is* the new
-  // was-available set.
+  // was-available set. The push goes out before the local write, so this
+  // site is never durably ahead of the group on a write it never sent.
   net::BatchWriteRequest push;
   push.updates.reserve(count.value());
   for (std::size_t i = 0; i < count.value(); ++i) {
@@ -82,6 +87,17 @@ Status AvailableCopyReplica::write_range(BlockId first,
     push.updates.push_back(net::BlockUpdate{
         first + i, current.value() + 1,
         storage::BlockData(slice.begin(), slice.end())});
+  }
+  if (policy_ == WasAvailablePolicy::kFixed) {
+    // Figure 6's write: one unacknowledged push. Reliable delivery between
+    // live sites is assumed (§5.1), and a fixed W has nothing to learn.
+    const net::Message message{self_, std::move(push)};
+    if (auto status = transport_.multicast(self_, peers(), message);
+        !status.is_ok()) {
+      return status;
+    }
+    return store_.write_batch(
+        batch_of(message.as<net::BatchWriteRequest>().updates));
   }
   push.was_available = was_available_;
   const net::Message message{self_, std::move(push)};
@@ -117,6 +133,7 @@ Status AvailableCopyReplica::join_from(SiteId source, SiteSet source_w) {
   if (auto repaired = repair_from(source); !repaired) {
     return repaired.status();
   }
+  if (policy_ == WasAvailablePolicy::kFixed) return Status::ok();
   // W becomes the source's set plus this site, and the source learns that
   // this site now holds its copy.
   was_available_ = std::move(source_w);
@@ -151,7 +168,7 @@ Status AvailableCopyReplica::recover() {
 
   // Arm 1: total failure. Wait until every site that could have failed
   // last — the closure of our was-available set — has recovered, then take
-  // the highest version among them.
+  // the highest version among them. Under kFixed the closure is every site.
   WasAvailableMap known;
   std::map<SiteId, std::uint64_t> totals;
   known[self_] = was_available_;
@@ -202,6 +219,7 @@ void AvailableCopyReplica::on_push_applied(
 
 void AvailableCopyReplica::merge_was_available(
     const net::WasAvailableUpdate& update) {
+  if (policy_ == WasAvailablePolicy::kFixed) return;
   SiteSet next = update.was_available;
   if (update.replace) {
     next.insert(self_);

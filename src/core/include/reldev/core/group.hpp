@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "reldev/core/available_copy_replica.hpp"
-#include "reldev/core/naive_replica.hpp"
 #include "reldev/core/scrub_daemon.hpp"
 #include "reldev/core/site.hpp"
 #include "reldev/core/voting_replica.hpp"

@@ -31,6 +31,8 @@ const char* scheme_kind_name(SchemeKind kind) noexcept;
 
 struct SiteOptions {
   SchemeKind scheme = SchemeKind::kAvailableCopy;
+  /// Available copy's W propagation. The naive scheme always runs kFixed;
+  /// available copy with kFixed is refused (kInvalidArgument).
   WasAvailablePolicy policy = WasAvailablePolicy::kEagerBroadcast;
   /// Empty = an in-memory store (no kill/restart). Otherwise a
   /// FileBlockStore behind a crash-point injector, a pass-through until

@@ -1,6 +1,5 @@
 #include "reldev/core/site.hpp"
 
-#include "reldev/core/naive_replica.hpp"
 #include "reldev/core/voting_replica.hpp"
 #include "reldev/storage/mem_block_store.hpp"
 
@@ -39,6 +38,12 @@ Site::~Site() = default;
 Result<std::unique_ptr<Site>> Site::open(SiteId id, GroupConfig config,
                                          net::Transport& peers,
                                          SiteOptions options) {
+  // The naive scheme is the one spelling of a fixed was-available set.
+  if (options.scheme == SchemeKind::kAvailableCopy &&
+      options.policy == WasAvailablePolicy::kFixed) {
+    return errors::invalid_argument(
+        "a fixed was-available set is the naive-available-copy scheme");
+  }
   auto site = std::unique_ptr<Site>(
       new Site(id, std::move(config), peers, std::move(options)));
   if (Status status = site->open_store(); !status.is_ok()) return status;
@@ -108,8 +113,8 @@ Status Site::serve() {
           id_, config_, *store_, peers_, options_.policy);
       break;
     case SchemeKind::kNaiveAvailableCopy:
-      replica_ = std::make_unique<NaiveAvailableCopyReplica>(id_, config_,
-                                                             *store_, peers_);
+      replica_ = std::make_unique<AvailableCopyReplica>(
+          id_, config_, *store_, peers_, WasAvailablePolicy::kFixed);
       break;
   }
   // A reopened replica rebuilt its volatile state (e.g. the was-available

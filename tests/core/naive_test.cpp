@@ -1,8 +1,11 @@
-#include "reldev/core/naive_replica.hpp"
+#include "reldev/core/available_copy_replica.hpp"
 
 #include <gtest/gtest.h>
 
 #include "reldev/core/group.hpp"
+#include "reldev/net/inproc_transport.hpp"
+#include "reldev/storage/site_metadata.hpp"
+#include "support/temp_dir.hpp"
 
 namespace reldev::core {
 namespace {
@@ -159,6 +162,113 @@ TEST_F(NaiveTest, StalePushIsIgnored) {
                                 {}}});
   EXPECT_EQ(group_.store(1).version_of(0).value(), 2u);
   EXPECT_EQ(group_.store(1).read(0).value().data, payload(64, 2));
+}
+
+/// Whether a site's metadata blob is free of a was-available set: the
+/// naive scheme keeps W fixed to every site and never persists it.
+bool persists_no_was_available(storage::BlockStore& store) {
+  auto blob = store.get_metadata();
+  if (!blob.is_ok()) return false;
+  if (blob.value().empty()) return true;
+  auto meta = storage::SiteMetadata::decode(blob.value());
+  return meta.is_ok() && !meta.value().was_available.has_value();
+}
+
+TEST(NaiveFoldTest, CoordinatorDyingAfterItsPushConverges) {
+  // The push goes out before the coordinator's own store write, so a
+  // coordinator whose write dies has never been ahead of the group: after
+  // its restart every store holds the same version and bytes.
+  const test::TempDir dir("reldev_naive_fold");
+  PersistentOptions persist;
+  persist.directory = dir.path().string();
+  ReplicaGroup group(SchemeKind::kNaiveAvailableCopy,
+                     GroupConfig::majority(3, 8, 64), persist);
+  ASSERT_TRUE(group.write(0, 0, payload(64, 1)).is_ok());
+  group.crash_points(0).arm({storage::CrashPoint::kMidBlockWrite, 0});
+  EXPECT_FALSE(group.write(0, 0, payload(64, 2)).is_ok());
+  ASSERT_TRUE(group.crash_points(0).crashed());
+
+  group.kill_site(0);
+  ASSERT_TRUE(group.restart_site(0).is_ok());
+  const auto expected = group.store(1).read(0);
+  ASSERT_TRUE(expected.is_ok());
+  for (SiteId site = 0; site < 3; ++site) {
+    const auto stored = group.store(site).read(0);
+    ASSERT_TRUE(stored.is_ok()) << "site " << site;
+    EXPECT_EQ(stored.value().version, expected.value().version)
+        << "site " << site;
+    EXPECT_EQ(stored.value().data, expected.value().data) << "site " << site;
+    const auto read = group.read(site, 0);
+    ASSERT_TRUE(read.is_ok()) << "site " << site;
+    EXPECT_EQ(read.value(), expected.value().data) << "site " << site;
+  }
+}
+
+TEST_F(NaiveTest, NoWasAvailableSetIsPersisted) {
+  group_.crash_site(2);
+  ASSERT_TRUE(group_.write(0, 0, payload(64, 1)).is_ok());
+  ASSERT_TRUE(group_.write(1, 1, payload(64, 2)).is_ok());
+  for (SiteId site = 0; site < 3; ++site) {
+    EXPECT_TRUE(persists_no_was_available(group_.store(site)))
+        << "site " << site;
+  }
+  ASSERT_TRUE(group_.recover_site(2).is_ok());
+  for (SiteId site = 0; site < 3; ++site) {
+    EXPECT_TRUE(persists_no_was_available(group_.store(site)))
+        << "site " << site;
+  }
+}
+
+// The two recovery costs below are the counts metered when the naive
+// scheme still had an engine of its own; folding it into available copy
+// must not move them.
+TEST_F(NaiveTest, RecoveryFromAnAvailableSiteCost) {
+  // One state inquiry and its two replies, then one repair round trip; no
+  // was-available notification (AC's Figure 5 sends one, NAC has no W).
+  group_.crash_site(2);
+  ASSERT_TRUE(group_.write(0, 0, payload(64, 1)).is_ok());
+  group_.meter().reset();
+  group_.meter().set_current_op(net::OpKind::kRecovery);
+  ASSERT_TRUE(group_.recover_site(2).is_ok());
+  EXPECT_EQ(group_.meter().count(net::OpKind::kRecovery), 5u);
+  EXPECT_EQ(group_.meter().total(), 5u);
+}
+
+TEST_F(NaiveTest, RecoveryAfterTotalFailureCost) {
+  // Every site inquires as it comes back; only the last one finds the
+  // whole group recovered, and the comatose ones retry.
+  group_.crash_site(2);
+  ASSERT_TRUE(group_.write(0, 0, payload(64, 1)).is_ok());
+  group_.crash_site(1);
+  ASSERT_TRUE(group_.write(0, 1, payload(64, 2)).is_ok());
+  group_.crash_site(0);
+  group_.meter().reset();
+  group_.meter().set_current_op(net::OpKind::kRecovery);
+  EXPECT_EQ(group_.recover_site(1).code(), reldev::ErrorCode::kUnavailable);
+  EXPECT_EQ(group_.recover_site(2).code(), reldev::ErrorCode::kUnavailable);
+  ASSERT_TRUE(group_.recover_site(0).is_ok());
+  for (SiteId site = 0; site < 3; ++site) {
+    ASSERT_EQ(group_.replica(site).state(), SiteState::kAvailable);
+  }
+  EXPECT_EQ(group_.meter().count(net::OpKind::kRecovery), 21u);
+  EXPECT_EQ(group_.meter().total(), 21u);
+}
+
+TEST(NaiveFoldTest, AvailableCopyWithAFixedSetIsRejected) {
+  // A fixed W-set has one spelling: the naive scheme.
+  net::InProcTransport transport;
+  SiteOptions options;
+  options.scheme = SchemeKind::kAvailableCopy;
+  options.policy = WasAvailablePolicy::kFixed;
+  auto site = Site::open(0, GroupConfig::majority(3, 8, 64), transport,
+                         options);
+  ASSERT_FALSE(site.is_ok());
+  EXPECT_EQ(site.status().code(), reldev::ErrorCode::kInvalidArgument);
+
+  options.scheme = SchemeKind::kNaiveAvailableCopy;
+  site = Site::open(0, GroupConfig::majority(3, 8, 64), transport, options);
+  ASSERT_TRUE(site.is_ok()) << site.status().to_string();
+  EXPECT_STREQ(site.value()->replica().scheme_name(), "naive-available-copy");
 }
 
 }  // namespace
