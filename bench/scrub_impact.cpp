@@ -16,7 +16,9 @@
 // whatever it can; throttled by the byte budget — sized off a calibration
 // pass the way a deployment sizes its budget off disk bandwidth — the
 // interleaved batches must cost <= 10% foreground throughput. That bound
-// is the acceptance gate.
+// is the acceptance gate, judged on the median of back-to-back pairs of a
+// no-scrub and a throttled run: one run lasts milliseconds, and on a
+// shared host a single run can absorb a hiccup of tens of percent.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -40,6 +42,7 @@ constexpr std::size_t kSites = 3;
 constexpr std::size_t kBlocks = 64;
 constexpr std::size_t kBlockSize = 512;
 constexpr std::size_t kBatchBlocks = 8;  // 8 batches per cycle
+constexpr std::size_t kPairs = 9;        // no-scrub/throttled pairs per gate
 
 storage::BlockData payload(std::uint8_t tag) {
   return storage::BlockData(kBlockSize, static_cast<std::byte>(tag));
@@ -163,6 +166,41 @@ ForegroundRow foreground_run(core::ReplicaGroup& group, std::size_t writes,
   return row;
 }
 
+/// The throttled regime against the no-scrub baseline: kPairs back-to-back
+/// pairs of runs, in alternating order so neither regime always runs
+/// warmer, each pair giving one overhead. Returns the median pair.
+struct PairedRun {
+  ForegroundRow baseline;
+  ForegroundRow throttled;
+  double overhead_pct = 0;
+};
+
+PairedRun paired_run(core::ReplicaGroup& group, std::size_t writes,
+                     std::uint64_t bytes_per_sec) {
+  std::vector<PairedRun> pairs(kPairs);
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    PairedRun& pair = pairs[i];
+    if (i % 2 == 0) {
+      pair.baseline = foreground_run(group, writes, /*scrub=*/false, 0);
+      pair.throttled =
+          foreground_run(group, writes, /*scrub=*/true, bytes_per_sec);
+    } else {
+      pair.throttled =
+          foreground_run(group, writes, /*scrub=*/true, bytes_per_sec);
+      pair.baseline = foreground_run(group, writes, /*scrub=*/false, 0);
+    }
+    pair.overhead_pct = 100.0 * (pair.baseline.writes_per_sec /
+                                     pair.throttled.writes_per_sec -
+                                 1.0);
+  }
+  const auto median = pairs.begin() + kPairs / 2;
+  std::nth_element(pairs.begin(), median, pairs.end(),
+                   [](const PairedRun& a, const PairedRun& b) {
+                     return a.overhead_pct < b.overhead_pct;
+                   });
+  return *median;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -251,20 +289,20 @@ int main(int argc, char** argv) {
   constexpr double kDuty = 0.05;  // target: 5% of the core on scrubbing
   auto budget = static_cast<std::uint64_t>(
       kDuty / batch_seconds * static_cast<double>(kBatchBlocks * kBlockSize));
-  ForegroundRow throttled;
-  double throttled_overhead = 0;
+  PairedRun throttled;
   for (int attempt = 0; attempt < 3; ++attempt) {
-    throttled = foreground_run(*group, writes, /*scrub=*/true, budget);
-    throttled_overhead = overhead(throttled);
-    if (throttled_overhead <= 100.0 * kDuty * 1.5) break;
+    throttled = paired_run(*group, writes, budget);
+    if (throttled.overhead_pct <= 100.0 * kDuty * 1.5) break;
     budget = static_cast<std::uint64_t>(
         static_cast<double>(budget) * (100.0 * kDuty) /
-        std::max(throttled_overhead, 1.0));
+        std::max(throttled.overhead_pct, 1.0));
   }
 
-  std::vector<ForegroundRow> fg_rows = {baseline, unthrottled, throttled};
+  // The throttled row is the median pair's, next to its own baseline.
+  std::vector<ForegroundRow> fg_rows = {throttled.baseline, unthrottled,
+                                        throttled.throttled};
   fg_rows[1].overhead_pct = overhead(unthrottled);
-  fg_rows[2].overhead_pct = throttled_overhead;
+  fg_rows[2].overhead_pct = throttled.overhead_pct;
 
   TextTable fg_table(
       {"regime", "writes/s", "overhead vs baseline", "scrub batches"});
@@ -286,7 +324,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     out << "{\n  \"bench\": \"scrub_impact\",\n  \"trials\": " << trials
-        << ",\n  \"writes\": " << writes << ",\n  \"time_to_heal\": [\n";
+        << ",\n  \"writes\": " << writes << ",\n  \"pairs\": " << kPairs
+        << ",\n  \"time_to_heal\": [\n";
     for (std::size_t i = 0; i < heal_rows.size(); ++i) {
       const auto& row = heal_rows[i];
       out << "    {\"interval_ms\": " << row.interval_ms
@@ -322,6 +361,7 @@ int main(int argc, char** argv) {
   std::cout << (overhead_ok ? "PASS" : "FAIL")
             << ": throttled scrubbing costs "
             << TextTable::fmt(fg_rows[2].overhead_pct, 1)
-            << "% foreground throughput (bar: <= 10%)\n";
+            << "% foreground throughput, median of " << kPairs
+            << " paired runs (bar: <= 10%)\n";
   return heal_bounded && heal_scales && overhead_ok ? 0 : 1;
 }
