@@ -166,15 +166,17 @@ ForegroundRow foreground_run(core::ReplicaGroup& group, std::size_t writes,
   return row;
 }
 
-/// The throttled regime against the no-scrub baseline: kPairs back-to-back
-/// pairs of runs, in alternating order so neither regime always runs
-/// warmer, each pair giving one overhead. Returns the median pair.
+/// A no-scrub run and a throttled run made back to back, and the
+/// throttled run's overhead against that baseline.
 struct PairedRun {
   ForegroundRow baseline;
   ForegroundRow throttled;
   double overhead_pct = 0;
 };
 
+/// The throttled regime against the no-scrub baseline: kPairs pairs, in
+/// alternating order so neither regime always runs warmer. Returns the
+/// median pair by overhead.
 PairedRun paired_run(core::ReplicaGroup& group, std::size_t writes,
                      std::uint64_t bytes_per_sec) {
   std::vector<PairedRun> pairs(kPairs);

@@ -184,7 +184,10 @@ Status AvailableCopyReplica::recover() {
   if (!closure_recovered(seed, known)) {
     RELDEV_DEBUG("available-copy")
         << "site " << self_ << " stays comatose: closure not yet recovered";
-    return errors::unavailable("closure of was-available set not recovered");
+    return errors::unavailable(policy_ == WasAvailablePolicy::kFixed
+                                   ? "waiting for all sites to recover"
+                                   : "closure of was-available set not "
+                                     "recovered");
   }
 
   SiteId best = self_;

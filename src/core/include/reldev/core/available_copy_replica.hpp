@@ -30,7 +30,7 @@ enum class WasAvailablePolicy {
   /// matches the Figure-7 availability model.
   kEagerBroadcast,
   /// The naive scheme: W_s is the full site set, never updated, persisted
-  /// or sent. A write is one one-way push (one transmission on a multicast
+  /// or pushed to peers. A write is one one-way push (one transmission on a multicast
   /// network, §5.1), and recovery after a total failure waits for every
   /// site. Selected by SchemeKind::kNaiveAvailableCopy only.
   kFixed,

@@ -100,7 +100,7 @@ struct StateInfo {
   /// site dominates every other member block-wise, so the larger total
   /// always identifies it.
   std::uint64_t version_total;
-  /// The responder's persisted W (empty under the naive scheme).
+  /// The responder's W (the full site set under the naive scheme).
   SiteSet was_available;
 };
 

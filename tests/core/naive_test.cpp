@@ -192,6 +192,9 @@ TEST(NaiveFoldTest, CoordinatorDyingAfterItsPushConverges) {
   ASSERT_TRUE(group.restart_site(0).is_ok());
   const auto expected = group.store(1).read(0);
   ASSERT_TRUE(expected.is_ok());
+  // The push reached the peers before the coordinator's write died.
+  EXPECT_EQ(expected.value().version, 2u);
+  EXPECT_EQ(expected.value().data, payload(64, 2));
   for (SiteId site = 0; site < 3; ++site) {
     const auto stored = group.store(site).read(0);
     ASSERT_TRUE(stored.is_ok()) << "site " << site;
@@ -219,9 +222,8 @@ TEST_F(NaiveTest, NoWasAvailableSetIsPersisted) {
   }
 }
 
-// The two recovery costs below are the counts metered when the naive
-// scheme still had an engine of its own; folding it into available copy
-// must not move them.
+// Pinned recovery costs (validate_traffic's NAC "recovery (sim)" column
+// rests on them): NAC recovery never pays AC's was-available notification.
 TEST_F(NaiveTest, RecoveryFromAnAvailableSiteCost) {
   // One state inquiry and its two replies, then one repair round trip; no
   // was-available notification (AC's Figure 5 sends one, NAC has no W).
